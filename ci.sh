@@ -21,6 +21,9 @@ cargo build --offline --release --workspace
 echo "== cargo test"
 cargo test --offline -q --workspace
 
+echo "== golden pin (exact scenario numbers and the tiny after-ACK trace)"
+cargo test --offline -q -p snapedge-integration --test golden
+
 echo "== chaos suite (fault injection across a fixed seed matrix)"
 cargo test --offline -q -p snapedge-integration --test chaos
 
@@ -36,7 +39,7 @@ cargo test --offline -q -p snapedge-integration --test engine
 echo "== metering suite (sandbox caps, meter-off bit-compat, exhaustion failover)"
 cargo test --offline -q -p snapedge-integration --test metering
 
-echo "== effects suite (pruned-capture bit-identity, pre-ship gates, effects-off bit-compat)"
+echo "== effects suite (effects-on replay identity, pre-ship gates, effects-off bit-compat)"
 cargo test --offline -q -p snapedge-integration --test effects
 
 echo "== interning suite (incremental-capture bit-identity, meter-visible O(changed) capture)"
@@ -55,9 +58,6 @@ cargo run --offline --release -p snapedge-bench --bin fleet_scale
 
 echo "== balancing micro (report-only: rotation vs queue-aware p99 on a skewed fleet)"
 cargo run --offline --release -p snapedge-bench --bin fleet_balance
-
-echo "== pruned capture micro (report-only: pruned vs full capture time)"
-cargo run --offline --release -p snapedge-bench --bin capture_pruned
 
 echo "== incremental capture micro (report-only: dirty-tracked vs full-walk capture time)"
 cargo run --offline --release -p snapedge-bench --bin capture_incremental

@@ -9,15 +9,13 @@
 //! Pure  ⊑  Writes(set)  ⊑  Host(tag)  ⊑  Unknown
 //! ```
 //!
-//! and three offload-layer consumers read the result:
+//! and the result carries:
 //!
-//! * **write-set-pruned capture** — the per-round write set (globals any
-//!   event-handler-reachable code can write) becomes
-//!   `snapedge_webapp::CaptureHints`, so delta capture deep-compares only
-//!   statically-writable globals. Whenever a write cannot be attributed
-//!   (`Unknown`: dynamic member writes through aliases, mutating method
-//!   calls on unclassifiable receivers), [`EffectSummary::round_writes`]
-//!   is `None` and capture falls back to the full walk, bit-identically.
+//! * **the per-round write set** — the globals any event-handler-reachable
+//!   code can write ([`EffectSummary::writable_globals`], shown in the
+//!   effect report). Whenever a write cannot be attributed (`Unknown`:
+//!   dynamic member writes through aliases, mutating method calls on
+//!   unclassifiable receivers), [`EffectSummary::round_writes`] is `None`.
 //! * **pre-ship nondeterminism gating** — host accesses are tagged with
 //!   the effect class the embedder declared at registration
 //!   ([`HostEffect`]); reaching a clock/random/IO host makes the app
@@ -799,8 +797,8 @@ impl<'a> EffectPass<'a> {
                 }
             }
             Expr::Member(obj, _) | Expr::Index(obj, _) => {
-                // DOM writes (textContent) are replayable; the delta DOM
-                // diff is never pruned.
+                // DOM writes (textContent) are replayable: the delta DOM
+                // diff carries them.
                 if self.is_dom_expr(obj, ctx) {
                     self.touch_host(fx, "document", HostEffect::Dom, ctx);
                     return;

@@ -11,7 +11,7 @@
 //! cargo bench -p snapedge-bench
 //! ```
 
-use snapedge_core::{run_scenario, MeterLimits, ScenarioConfig, Strategy};
+use snapedge_core::{run_scenario, MeterLimits, SessionConfig, Strategy};
 use snapedge_tensor::{ops, serialize, Tensor};
 use snapedge_webapp::{Browser, SnapshotOptions};
 use std::time::{Duration, Instant};
@@ -137,15 +137,16 @@ fn bench_serialization() {
 
 fn bench_end_to_end() {
     bench("end_to_end/tiny_offload_after_ack", || {
-        run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck))
+        run_scenario(&SessionConfig::tiny(), Strategy::OffloadAfterAck)
             .unwrap()
             .total
             .as_nanos() as usize
     });
     bench("end_to_end/tiny_partial_1st_pool", || {
-        run_scenario(&ScenarioConfig::tiny(Strategy::Partial {
-            cut: "1st_pool".to_string(),
-        }))
+        run_scenario(
+            &SessionConfig::tiny_builder().cut("1st_pool").build(),
+            Strategy::Partial,
+        )
         .unwrap()
         .total
         .as_nanos() as usize
@@ -158,7 +159,7 @@ fn bench_end_to_end() {
 /// informational, not a gate.
 fn bench_meter_overhead() {
     let off = bench("meter_overhead/tiny_offload/meter_off", || {
-        run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck))
+        run_scenario(&SessionConfig::tiny(), Strategy::OffloadAfterAck)
             .unwrap()
             .total
             .as_nanos() as usize
@@ -169,12 +170,12 @@ fn bench_meter_overhead() {
         .with_string_len(usize::MAX / 2)
         .with_call_depth(usize::MAX / 2)
         .with_time_slice(Duration::from_secs(3600));
-    let cfg = ScenarioConfig::tiny_builder()
-        .strategy(Strategy::OffloadAfterAck)
-        .meter(generous)
-        .build();
+    let cfg = SessionConfig::tiny_builder().meter(generous).build();
     let on = bench("meter_overhead/tiny_offload/meter_on", || {
-        run_scenario(&cfg).unwrap().total.as_nanos() as usize
+        run_scenario(&cfg, Strategy::OffloadAfterAck)
+            .unwrap()
+            .total
+            .as_nanos() as usize
     });
     let slowdown = (on as f64 - off as f64) / off as f64 * 100.0;
     println!("meter_overhead/slowdown                  {slowdown:>11.1} %   (informational)");

@@ -8,7 +8,7 @@
 //! ```
 
 use snapedge_bench::{mib, print_table, PAPER_MODELS};
-use snapedge_core::{run_scenario, ScenarioConfig, Strategy};
+use snapedge_core::{run_scenario, SessionConfig, Strategy};
 use snapedge_webapp::SnapshotOptions;
 
 fn main() -> Result<(), snapedge_core::OffloadError> {
@@ -18,25 +18,20 @@ fn main() -> Result<(), snapedge_core::OffloadError> {
     for model in PAPER_MODELS {
         for (label, strategy) in [
             ("full offload", Strategy::OffloadAfterAck),
-            (
-                "partial @1st_pool",
-                Strategy::Partial {
-                    cut: "1st_pool".to_string(),
-                },
-            ),
+            ("partial @1st_pool", Strategy::Partial),
         ] {
-            let mut optimized = ScenarioConfig::paper(model, strategy.clone());
+            let mut optimized = SessionConfig::paper_builder(model).cut("1st_pool").build();
             optimized.snapshot = SnapshotOptions {
                 inline_single_use: true,
                 ..SnapshotOptions::default()
             };
-            let mut baseline = ScenarioConfig::paper(model, strategy);
+            let mut baseline = optimized.clone();
             baseline.snapshot = SnapshotOptions {
                 inline_single_use: false,
                 ..SnapshotOptions::default()
             };
-            let opt = run_scenario(&optimized)?;
-            let base = run_scenario(&baseline)?;
+            let opt = run_scenario(&optimized, strategy)?;
+            let base = run_scenario(&baseline, strategy)?;
             rows.push(vec![
                 format!("{model} {label}"),
                 mib(base.snapshot_up_bytes),

@@ -8,7 +8,7 @@
 //! ```
 
 use snapedge_bench::{mib, print_table};
-use snapedge_core::{run_scenario, ScenarioConfig, Strategy};
+use snapedge_core::{run_scenario, SessionConfig, Strategy};
 use snapedge_net::LinkConfig;
 
 fn main() -> Result<(), snapedge_core::OffloadError> {
@@ -18,15 +18,16 @@ fn main() -> Result<(), snapedge_core::OffloadError> {
         println!("== googlenet at {mbps:.0} Mbps");
         let mut rows = Vec::new();
         for cut in ["1st_conv", "1st_pool", "2nd_pool"] {
-            let strategy = Strategy::Partial {
-                cut: cut.to_string(),
+            let plain = SessionConfig::paper_builder("googlenet")
+                .cut(cut)
+                .link(LinkConfig::mbps(mbps))
+                .build();
+            let packed = SessionConfig {
+                compress: true,
+                ..plain.clone()
             };
-            let mut plain = ScenarioConfig::paper("googlenet", strategy.clone());
-            plain.primary_mut().link = LinkConfig::mbps(mbps);
-            let mut packed = plain.clone();
-            packed.compress = true;
-            let a = run_scenario(&plain)?;
-            let b = run_scenario(&packed)?;
+            let a = run_scenario(&plain, Strategy::Partial)?;
+            let b = run_scenario(&packed, Strategy::Partial)?;
             rows.push(vec![
                 cut.to_string(),
                 mib(a.snapshot_up_bytes),

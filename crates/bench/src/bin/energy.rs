@@ -20,7 +20,7 @@ fn main() -> Result<(), snapedge_core::OffloadError> {
         }
         let mut row = vec![label.to_string()];
         for model in PAPER_MODELS {
-            let report = run_paper(model, strategy.clone())?;
+            let report = run_paper(model, strategy)?;
             let energy = client_energy(&profile, &report);
             row.push(format!("{:.1}", energy.total_joules()));
         }

@@ -15,7 +15,7 @@ fn main() -> Result<(), snapedge_core::OffloadError> {
     for (label, strategy) in &strategies {
         let mut row = vec![label.to_string()];
         for model in PAPER_MODELS {
-            let report = run_paper(model, strategy.clone())?;
+            let report = run_paper(model, *strategy)?;
             row.push(secs(report.total));
         }
         rows.push(row);

@@ -9,7 +9,7 @@
 //! cargo run --release -p snapedge-bench --bin fig8
 //! ```
 
-use snapedge_bench::{mib, print_table, run_paper, secs, PAPER_MODELS};
+use snapedge_bench::{mib, print_table, run_paper, run_partial, secs, PAPER_MODELS};
 use snapedge_core::Strategy;
 use snapedge_dnn::zoo;
 
@@ -24,12 +24,7 @@ fn main() -> Result<(), snapedge_core::OffloadError> {
                 // "Offloading with Input" = full offloading.
                 run_paper(model, Strategy::OffloadAfterAck)?
             } else {
-                run_paper(
-                    model,
-                    Strategy::Partial {
-                        cut: cut.to_string(),
-                    },
-                )?
+                run_partial(model, cut)?
             };
             let b = report.breakdown;
             rows.push(vec![

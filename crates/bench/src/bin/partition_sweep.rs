@@ -8,7 +8,7 @@
 
 use snapedge_bench::{print_table, PAPER_MODELS};
 use snapedge_core::{
-    edge_server_x86, odroid_xu4, run_scenario, PartitionOptimizer, ScenarioConfig, Strategy,
+    edge_server_x86, odroid_xu4, run_scenario, PartitionOptimizer, SessionConfig, Strategy,
 };
 use snapedge_dnn::zoo;
 use snapedge_net::LinkConfig;
@@ -57,12 +57,10 @@ fn main() -> Result<(), snapedge_core::OffloadError> {
         for cut_label in ["1st_conv", "1st_pool"] {
             let cut = net.cut_point(cut_label)?;
             let predicted = optimizer.predict(&cut)?.times.total().as_secs_f64();
-            let measured = run_scenario(&ScenarioConfig::paper(
-                model,
-                Strategy::Partial {
-                    cut: cut_label.to_string(),
-                },
-            ))?
+            let measured = run_scenario(
+                &SessionConfig::paper_builder(model).cut(cut_label).build(),
+                Strategy::Partial,
+            )?
             .total
             .as_secs_f64();
             rows.push(vec![

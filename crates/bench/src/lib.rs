@@ -1,34 +1,42 @@
 //! Shared helpers for the snapedge benchmark harness — formatting and the
 //! common scenario grids used by the per-figure binaries.
 
-use snapedge_core::{run_scenario, OffloadError, ScenarioConfig, ScenarioReport, Strategy};
+use snapedge_core::{run_scenario, OffloadError, ScenarioReport, SessionConfig, Strategy};
 
 /// The paper's three benchmark apps, in its order.
 pub const PAPER_MODELS: [&str; 3] = ["googlenet", "agenet", "gendernet"];
 
-/// The five bars of Fig. 6, in the paper's order.
+/// The five bars of Fig. 6, in the paper's order (partial inference at
+/// `1st_pool`, the cut [`run_paper`] uses).
 pub fn fig6_strategies() -> Vec<(&'static str, Strategy)> {
     vec![
         ("Client", Strategy::ClientOnly),
         ("Server", Strategy::ServerOnly),
         ("Offload before ACK", Strategy::OffloadBeforeAck),
         ("Offload after ACK", Strategy::OffloadAfterAck),
-        (
-            "Offload partial (1st_pool)",
-            Strategy::Partial {
-                cut: "1st_pool".to_string(),
-            },
-        ),
+        ("Offload partial (1st_pool)", Strategy::Partial),
     ]
 }
 
-/// Runs one paper-configuration scenario.
+/// Runs one paper-configuration scenario; [`Strategy::Partial`] cuts at
+/// `1st_pool`.
 ///
 /// # Errors
 ///
 /// Propagates scenario failures.
 pub fn run_paper(model: &str, strategy: Strategy) -> Result<ScenarioReport, OffloadError> {
-    run_scenario(&ScenarioConfig::paper(model, strategy))
+    let cfg = SessionConfig::paper_builder(model).cut("1st_pool").build();
+    run_scenario(&cfg, strategy)
+}
+
+/// Runs one paper-configuration partial-inference scenario at `cut`.
+///
+/// # Errors
+///
+/// Propagates scenario failures.
+pub fn run_partial(model: &str, cut: &str) -> Result<ScenarioReport, OffloadError> {
+    let cfg = SessionConfig::paper_builder(model).cut(cut).build();
+    run_scenario(&cfg, Strategy::Partial)
 }
 
 /// Formats a duration as seconds with two decimals.

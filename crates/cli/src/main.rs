@@ -16,8 +16,7 @@ use snapedge_analyze::{
 };
 use snapedge_core::{
     apps, parse_servers, run_scenario, vm_install, ArrivalProcess, Engine, FleetReport,
-    MeterLimits, OffloadSession, RetryPolicy, ScenarioConfig, ServerSpec, SessionConfig, Strategy,
-    Workload,
+    MeterLimits, OffloadSession, RetryPolicy, ServerSpec, SessionConfig, Strategy, Workload,
 };
 use snapedge_dnn::{zoo, ModelBundle};
 use snapedge_net::{FaultPlan, LinkConfig};
@@ -176,9 +175,7 @@ fn parse_strategy(args: &Args) -> Result<Strategy, String> {
         "server" => Ok(Strategy::ServerOnly),
         "before-ack" => Ok(Strategy::OffloadBeforeAck),
         "after-ack" => Ok(Strategy::OffloadAfterAck),
-        "partial" => Ok(Strategy::Partial {
-            cut: args.flag("cut").unwrap_or("1st_pool").to_string(),
-        }),
+        "partial" => Ok(Strategy::Partial),
         other => Err(format!("unknown strategy {other:?}")),
     }
 }
@@ -316,16 +313,23 @@ fn parse_meter_flag(args: &Args) -> Result<Option<MeterLimits>, String> {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    let mut cfg = ScenarioConfig::paper(&args.model(), parse_strategy(args)?);
+    let strategy = parse_strategy(args)?;
+    let mut cfg = SessionConfig::paper(&args.model());
+    if strategy == Strategy::Partial {
+        cfg.cut = Some(args.flag("cut").unwrap_or("1st_pool").to_string());
+    }
     cfg.primary_mut().link = LinkConfig::mbps(args.mbps()?);
     apply_fleet_flags(args, &mut cfg.servers)?;
     cfg.retry = parse_retry_flag(args)?;
     cfg.meter = parse_meter_flag(args)?;
     cfg.predict = parse_predict_flag(args)?;
     cfg.snapshot.effects = parse_effects_flag(args)?;
-    let report = run_scenario(&cfg).map_err(|e| e.to_string())?;
+    let report = run_scenario(&cfg, strategy).map_err(|e| e.to_string())?;
     println!("model:      {}", report.model);
-    println!("strategy:   {:?}", report.strategy);
+    match &cfg.cut {
+        Some(cut) => println!("strategy:   {:?} {{ cut: {cut:?} }}", report.strategy),
+        None => println!("strategy:   {:?}", report.strategy),
+    }
     println!("result:     {}", report.result);
     if let Some(name) = &report.server {
         let handoffs = report.handoff_count();
@@ -403,16 +407,17 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     println!("partition sweep for {model} at {mbps:.0} Mbps:");
     println!("{:<14} {:>10} {:>14}", "cut", "total(s)", "snapshot(MiB)");
     for cut in zoo::fig8_cuts(&model) {
+        // "Offloading with Input" = full offloading.
         let strategy = if cut == "input" {
             Strategy::OffloadAfterAck
         } else {
-            Strategy::Partial {
-                cut: cut.to_string(),
-            }
+            Strategy::Partial
         };
-        let mut cfg = ScenarioConfig::paper(&model, strategy);
-        cfg.primary_mut().link = LinkConfig::mbps(mbps);
-        let report = run_scenario(&cfg).map_err(|e| e.to_string())?;
+        let cfg = SessionConfig::paper_builder(&model)
+            .cut(cut)
+            .link(LinkConfig::mbps(mbps))
+            .build();
+        let report = run_scenario(&cfg, strategy).map_err(|e| e.to_string())?;
         println!(
             "{:<14} {:>10.2} {:>14.2}",
             cut,
@@ -993,9 +998,7 @@ mod tests {
         );
         assert_eq!(
             parse_strategy(&args(&["run", "--strategy", "partial"])).unwrap(),
-            Strategy::Partial {
-                cut: "1st_pool".into()
-            }
+            Strategy::Partial
         );
         assert!(parse_strategy(&args(&["run", "--strategy", "teleport"])).is_err());
     }
@@ -1074,7 +1077,7 @@ mod tests {
 
     #[test]
     fn servers_flag_replaces_the_fleet() {
-        let mut cfg = ScenarioConfig::paper("googlenet", Strategy::OffloadAfterAck);
+        let mut cfg = SessionConfig::paper("googlenet");
         apply_fleet_flags(
             &args(&[
                 "run",
@@ -1091,7 +1094,7 @@ mod tests {
         // Entries inherit the primary's link as a template.
         assert_eq!(
             cfg.servers[0].link.bandwidth_bps,
-            ScenarioConfig::paper("googlenet", Strategy::OffloadAfterAck)
+            SessionConfig::paper("googlenet")
                 .primary()
                 .link
                 .bandwidth_bps
@@ -1101,9 +1104,7 @@ mod tests {
     #[test]
     fn servers_flag_round_trips_through_format_and_parse() {
         // parse -> format -> parse must reproduce the fleet exactly.
-        let template = ScenarioConfig::paper("googlenet", Strategy::OffloadAfterAck)
-            .primary()
-            .clone();
+        let template = SessionConfig::paper("googlenet").primary().clone();
         let fleet = parse_servers(
             "edge-a,mbps=30,latency=0.002;edge-b,mbps=12,loss=0.05,up=down@2..5+degrade@7..9x0.25;\
              edge-c,bps=2500000,overhead=96,down=corrupt@1..2",
@@ -1119,7 +1120,7 @@ mod tests {
 
     #[test]
     fn servers_and_fault_plan_flags_are_mutually_exclusive() {
-        let mut cfg = ScenarioConfig::paper("googlenet", Strategy::OffloadAfterAck);
+        let mut cfg = SessionConfig::paper("googlenet");
         let err = apply_fleet_flags(
             &args(&["run", "--servers", "edge-a", "--fault-plan", "down@2..5"]),
             &mut cfg.servers,

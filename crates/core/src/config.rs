@@ -1,21 +1,16 @@
 //! The shared offloading configuration core.
 //!
-//! [`SessionConfig`](crate::SessionConfig) and
-//! [`ScenarioConfig`](crate::ScenarioConfig) used to carry two
-//! copy-pasted sets of the same nine fields and two copy-pasted builders
-//! with ≈15 identical setters each. This module collapses that
-//! duplication: [`OffloadConfig`] owns everything the two shapes share
-//! (model, fleet, client device, execution mode, seeds, payload sizes,
-//! snapshot options, resilience and prediction knobs), the typed wrappers
-//! add only what is genuinely theirs (a session's `cut`/`use_deltas`, a
-//! scenario's `strategy`/`compress`), and [`ConfigBuilder`] provides the
-//! shared setters once, generically over any wrapper that derefs to the
-//! core.
+//! [`OffloadConfig`] owns everything about *who offloads what over which
+//! fleet* (model, fleet, client device, execution mode, seeds, payload
+//! sizes, snapshot options, resilience and prediction knobs).
+//! [`SessionConfig`](crate::SessionConfig) — the one config of sessions,
+//! one-shot scenarios and the fleet engine — wraps it with the cut,
+//! delta and compression knobs, and [`ConfigBuilder`] provides the shared
+//! setters over any wrapper that derefs to the core.
 //!
-//! The unification is also what lets the fleet engine
-//! ([`crate::engine`]) accept **one** config type: anything that converts
-//! into a [`SessionConfig`](crate::SessionConfig) — including a bare
-//! `OffloadConfig` — can drive a megascale run.
+//! The fleet engine ([`crate::engine`]) accepts anything that converts
+//! into a [`SessionConfig`](crate::SessionConfig), including a bare
+//! `OffloadConfig`.
 
 use crate::device::DeviceProfile;
 use crate::fleet::ServerSpec;
@@ -25,10 +20,9 @@ use snapedge_net::{FaultPlan, LinkConfig};
 use snapedge_webapp::{MeterLimits, SnapshotOptions};
 use std::ops::DerefMut;
 
-/// The configuration core shared by sessions, scenarios and the fleet
-/// engine: everything about *who offloads what over which fleet*,
-/// independent of the execution shape (round-based session vs one-shot
-/// scenario) layered on top.
+/// The configuration core: everything about *who offloads what over
+/// which fleet*, independent of the cut, delta and compression knobs
+/// [`SessionConfig`](crate::SessionConfig) layers on top.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OffloadConfig {
     /// Model name from the zoo.
@@ -163,9 +157,8 @@ impl OffloadConfig {
 
 /// The shared builder: one set of setters for every field of
 /// [`OffloadConfig`], generic over any wrapper config that derefs to the
-/// core. `SessionBuilder`/`ScenarioBuilder` are aliases of this type;
-/// their type-specific setters (`cut`, `use_deltas`, `strategy`,
-/// `compress`) live as inherent impls next to their config types.
+/// core. `SessionBuilder` is an alias of this type; its own setters
+/// (`cut`, `use_deltas`, `compress`) live next to `SessionConfig`.
 #[derive(Debug, Clone)]
 pub struct ConfigBuilder<C> {
     pub(crate) cfg: C,
@@ -259,9 +252,9 @@ impl<C: DerefMut<Target = OffloadConfig>> ConfigBuilder<C> {
         self
     }
 
-    /// Toggles static effect analysis (off by default): write-set-pruned
-    /// delta capture, pre-ship nondeterminism gating, and static cost
-    /// bounds. Off replays pre-analysis traces byte for byte.
+    /// Toggles static effect analysis (off by default): pre-ship
+    /// nondeterminism gating and static cost bounds. Off replays
+    /// pre-analysis traces byte for byte.
     pub fn effects(mut self, on: bool) -> ConfigBuilder<C> {
         self.cfg.snapshot.effects = on;
         self

@@ -76,10 +76,13 @@ pub fn client_energy(profile: &EnergyProfile, report: &ScenarioReport) -> Energy
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_scenario, ScenarioConfig, Strategy};
+    use crate::{run_scenario, SessionConfig, Strategy};
 
+    /// Client energy of one paper-configuration run (partial inference
+    /// cuts at `1st_pool`).
     fn energy(model: &str, strategy: Strategy) -> f64 {
-        let report = run_scenario(&ScenarioConfig::paper(model, strategy)).unwrap();
+        let cfg = SessionConfig::paper_builder(model).cut("1st_pool").build();
+        let report = run_scenario(&cfg, strategy).unwrap();
         client_energy(&odroid_xu4_energy(), &report).total_joules()
     }
 
@@ -108,12 +111,7 @@ mod tests {
     #[test]
     fn partial_inference_pays_energy_for_privacy() {
         let full = energy("googlenet", Strategy::OffloadAfterAck);
-        let partial = energy(
-            "googlenet",
-            Strategy::Partial {
-                cut: "1st_pool".into(),
-            },
-        );
+        let partial = energy("googlenet", Strategy::Partial);
         assert!(partial > full);
         // ...but still far below running everything locally.
         let local = energy("googlenet", Strategy::ClientOnly);
@@ -122,10 +120,10 @@ mod tests {
 
     #[test]
     fn components_are_nonnegative_and_sum() {
-        let report = run_scenario(&ScenarioConfig::paper(
-            "gendernet",
+        let report = run_scenario(
+            &SessionConfig::paper("gendernet"),
             Strategy::OffloadAfterAck,
-        ))
+        )
         .unwrap();
         let e = client_energy(&odroid_xu4_energy(), &report);
         assert!(e.compute_joules >= 0.0 && e.radio_joules >= 0.0 && e.idle_joules >= 0.0);
@@ -135,7 +133,7 @@ mod tests {
 
     #[test]
     fn local_execution_is_pure_compute() {
-        let report = run_scenario(&ScenarioConfig::paper("agenet", Strategy::ClientOnly)).unwrap();
+        let report = run_scenario(&SessionConfig::paper("agenet"), Strategy::ClientOnly).unwrap();
         let e = client_energy(&odroid_xu4_energy(), &report);
         assert_eq!(e.radio_joules, 0.0);
         assert_eq!(e.idle_joules, 0.0);

@@ -23,22 +23,22 @@
 //! | the Caffe.js `model` host object apps call | [`mlhost`] |
 //! | the two benchmark apps (paper Figs. 2 & 5) | [`apps`] |
 //! | a browser-bearing machine | [`endpoint`] |
-//! | pre-sending, ACK, migration, partial inference — full scenarios | [`scenario`] |
+//! | one-shot scenarios (Figs. 6–8) as the first round of a session | [`scenario`] |
+//! | pre-sending, ACK, migration, deltas, failover — the one offload driver | [`OffloadSession`] |
 //! | Neurosurgeon-style partition-point optimization | [`partition`] |
 //! | fault classification, retry policy, local fallback | [`resilience`] |
 //! | edge-fleet server pool, health records, failover selection | [`fleet`] |
-//! | per-layer latency prediction (regression models) | [`predictor`] |
 //! | the feature-inversion attack and the withholding defense | [`privacy`] |
 //! | on-demand installation via VM synthesis | [`install`] |
 //!
 //! # Quickstart
 //!
 //! ```
-//! use snapedge_core::{run_scenario, ScenarioConfig, Strategy};
+//! use snapedge_core::{run_scenario, SessionConfig, Strategy};
 //!
 //! # fn main() -> Result<(), snapedge_core::OffloadError> {
 //! // Offload a (tiny, real-arithmetic) inference after model pre-sending.
-//! let report = run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck))?;
+//! let report = run_scenario(&SessionConfig::tiny(), Strategy::OffloadAfterAck)?;
 //! assert!(report.result.starts_with("class_"));
 //! println!("inference took {:?} (server exec {:?})",
 //!          report.total, report.breakdown.exec_server);
@@ -53,7 +53,6 @@ pub mod adaptive;
 pub mod apps;
 pub mod balance;
 pub mod config;
-pub mod contention;
 pub mod device;
 mod endpoint;
 pub mod energy;
@@ -63,7 +62,6 @@ pub mod fleet;
 pub mod install;
 mod mlhost;
 pub mod partition;
-pub mod predictor;
 pub mod prelude;
 pub mod privacy;
 pub mod resilience;
@@ -74,7 +72,6 @@ pub mod timeline;
 pub use adaptive::{AdaptiveOffloader, AdaptivePolicy, Decision, Plan};
 pub use balance::{jain, Balancer, DrrScheduler, DEFAULT_DRR_QUANTUM};
 pub use config::{ConfigBuilder, OffloadConfig};
-pub use contention::{simulate_contention, ContentionConfig, ContentionReport};
 pub use device::{edge_server_x86, odroid_xu4, DeviceProfile};
 pub use endpoint::Endpoint;
 pub use energy::{client_energy, odroid_xu4_energy, EnergyProfile, EnergyReport};
@@ -87,16 +84,12 @@ pub use fleet::{format_servers, parse_servers, ServerHealth, ServerPool, ServerS
 pub use install::{vm_install, InstallReport};
 pub use mlhost::{CaffeJsHost, ExecKind, ExecRecord, ExecTracker};
 pub use partition::{PartitionOptimizer, PartitionPrediction, PredictedTimes};
-pub use predictor::{LatencyPredictor, LayerSample, LinearModel};
 pub use privacy::{evaluate_privacy, reconstruct_input, AttackConfig, PrivacyReport};
 pub use resilience::{
     classify, schedule_resilient, schedule_resilient_traced, FaultClass, ResilienceOutcome,
     RetryPolicy,
 };
-pub use scenario::{
-    run_scenario, run_scenario_with_links, run_with_fallback, Breakdown, ScenarioBuilder,
-    ScenarioConfig, ScenarioReport, Strategy,
-};
+pub use scenario::{run_scenario, Breakdown, ScenarioReport, Strategy};
 pub use session::{OffloadSession, RoundReport, SessionBuilder, SessionConfig};
 pub use snapedge_analyze::{
     AnalyzeError, CostBound, Effect, EffectCache, EffectOptions, EffectSummary,

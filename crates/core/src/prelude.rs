@@ -4,13 +4,13 @@
 //! use snapedge_core::prelude::*;
 //!
 //! # fn main() -> Result<(), OffloadError> {
-//! let report = run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck))?;
+//! let report = run_scenario(&SessionConfig::tiny(), Strategy::OffloadAfterAck)?;
 //! assert_eq!(report.breakdown, Breakdown::from_trace(&report.trace));
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! Pulls in the scenario/session entry points, their configs and builders,
+//! Pulls in the scenario/session entry points, their config and builder,
 //! the device profiles, and the cross-crate types they are parameterized
 //! by ([`LinkConfig`], [`ExecMode`], [`SnapshotOptions`], the trace
 //! types), so examples and tests need a single `use`.
@@ -26,10 +26,7 @@ pub use crate::error::OffloadError;
 pub use crate::fleet::{format_servers, parse_servers, ServerHealth, ServerPool, ServerSpec};
 pub use crate::install::{vm_install, InstallReport};
 pub use crate::resilience::{classify, FaultClass, ResilienceOutcome, RetryPolicy};
-pub use crate::scenario::{
-    run_scenario, run_scenario_with_links, run_with_fallback, Breakdown, ScenarioBuilder,
-    ScenarioConfig, ScenarioReport, Strategy,
-};
+pub use crate::scenario::{run_scenario, Breakdown, ScenarioReport, Strategy};
 pub use crate::session::{OffloadSession, RoundReport, SessionBuilder, SessionConfig};
 pub use crate::timeline;
 pub use snapedge_analyze::{AnalyzeError, EffectCache, EffectOptions, EffectSummary};

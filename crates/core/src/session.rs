@@ -20,6 +20,9 @@
 //! falling back to local execution only once every candidate is
 //! exhausted. A fleet of size 1 behaves bit-for-bit like the original
 //! single-server session.
+//!
+//! This is the repo's only offload driver: a one-shot scenario
+//! ([`crate::run_scenario`]) is the first round of a session.
 
 use crate::adaptive::{AdaptiveOffloader, AdaptivePolicy, Decision, Plan};
 use crate::apps;
@@ -31,25 +34,31 @@ use crate::OffloadError;
 use snapedge_dnn::{zoo, ExecMode, ModelBundle, Network, NodeId, ParamStore};
 use snapedge_net::{Link, NetError, SimClock};
 use snapedge_trace::{EventKind, Lane, Trace, Tracer};
-use snapedge_webapp::{CaptureHints, DeltaCapture, RunOutcome, StateBase, WebError};
+use snapedge_webapp::{DeltaCapture, RunOutcome, StateBase, WebError};
 use std::time::Duration;
 
-/// Configuration of a multi-inference session: the shared
-/// [`OffloadConfig`] core (model, edge **fleet**, client device, seeds,
-/// resilience/prediction knobs — see [`crate::config`]) plus the two
-/// knobs only sessions have. Derefs to [`OffloadConfig`], so every core
-/// field reads and writes as a direct field (`cfg.seed`,
-/// `cfg.servers.push(..)`).
+/// Configuration of every offload run — a multi-inference session, a
+/// one-shot scenario ([`crate::run_scenario`]) or a fleet-engine client:
+/// the shared [`OffloadConfig`] core (model, edge **fleet**, client
+/// device, seeds, resilience/prediction knobs — see [`crate::config`])
+/// plus the cut, delta and compression knobs. Derefs to
+/// [`OffloadConfig`], so every core field reads and writes as a direct
+/// field (`cfg.seed`, `cfg.servers.push(..)`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// The shared offloading core (fleet, devices, seeds, retry,
     /// predict). Usually accessed through `Deref` rather than by name.
     pub core: OffloadConfig,
     /// Partial-inference cut label, or `None` for full offloading.
+    /// Scenarios consult it only under [`crate::Strategy::Partial`].
     pub cut: Option<String>,
     /// Use delta snapshots after the first offload (the future-work
     /// optimization); `false` sends a full snapshot every time.
     pub use_deltas: bool,
+    /// Compress every migrated snapshot or delta (LZ77+Huffman) before
+    /// transmission, paying codec CPU time on both sides — an extension
+    /// the paper does not evaluate (see the `compression` bench).
+    pub compress: bool,
 }
 
 impl std::ops::Deref for SessionConfig {
@@ -67,20 +76,22 @@ impl std::ops::DerefMut for SessionConfig {
 
 impl From<OffloadConfig> for SessionConfig {
     /// Wraps a bare core with the session defaults (full offloading,
-    /// deltas on) — this is what lets the fleet engine accept either
-    /// config shape.
+    /// deltas on, no compression) — this is what lets the fleet engine
+    /// accept a bare core.
     fn from(core: OffloadConfig) -> SessionConfig {
         SessionConfig {
             core,
             cut: None,
             use_deltas: true,
+            compress: false,
         }
     }
 }
 
 impl SessionConfig {
-    /// Builder seeded with the paper-scale configuration (synthetic
-    /// execution).
+    /// Builder seeded with the paper's configuration: 30 Mbps link,
+    /// Odroid-XU4 client, one x86 edge server, synthetic execution
+    /// (shape-faithful), a ~35 KB encoded image.
     ///
     /// ```
     /// use snapedge_core::SessionConfig;
@@ -119,8 +130,8 @@ impl SessionConfig {
 /// Builder for [`SessionConfig`] — start from
 /// [`SessionConfig::paper_builder`] or [`SessionConfig::tiny_builder`].
 /// The fleet/device/resilience setters are the shared
-/// [`ConfigBuilder`] surface; only the session-specific `cut` and
-/// `use_deltas` live here.
+/// [`ConfigBuilder`] surface; only `cut`, `use_deltas` and `compress`
+/// live here.
 pub type SessionBuilder = ConfigBuilder<SessionConfig>;
 
 impl ConfigBuilder<SessionConfig> {
@@ -133,6 +144,12 @@ impl ConfigBuilder<SessionConfig> {
     /// Whether to use delta snapshots after the first offload.
     pub fn use_deltas(mut self, on: bool) -> SessionBuilder {
         self.cfg.use_deltas = on;
+        self
+    }
+
+    /// Compress migrated snapshots and deltas before transmission.
+    pub fn compress(mut self, on: bool) -> SessionBuilder {
+        self.cfg.compress = on;
         self
     }
 }
@@ -243,6 +260,13 @@ pub struct OffloadSession {
     round: usize,
     /// When the current server acknowledged the model pre-send.
     ack_at: Duration,
+    /// Whether a round waits out the pre-send ACK before the user clicks.
+    /// `false` only for a before-ACK scenario, whose snapshot then queues
+    /// behind the still-uploading model on the same link.
+    await_ack: bool,
+    /// No fleet candidate acknowledged the model pre-send (a scenario
+    /// that kept going instead of failing): every round completes locally.
+    presend_failed: bool,
     tracer: Tracer,
     /// Bytes of the model bundle pre-sent to servers (fills in at the
     /// first provisioning; feeds the pool's selection metric).
@@ -261,9 +285,9 @@ pub struct OffloadSession {
     /// a long-lived session analyzes each app once.
     effect_cache: snapedge_analyze::EffectCache,
     /// The active app's effect summary, when `cfg.snapshot.effects` is
-    /// on: its write set prunes delta capture, its nondeterminism and
-    /// cost-bound gates run pre-ship in `round_start`, and its op floor
-    /// feeds the link-health predictor as a compute-time prior.
+    /// on: its nondeterminism and cost-bound gates run pre-ship in
+    /// `round_start`, and its op floor feeds the link-health predictor as
+    /// a compute-time prior.
     effects: Option<snapedge_analyze::EffectSummary>,
     /// Per-candidate predicted queueing delay, pushed by the fleet
     /// engine's balancer before each round when `cfg.balance` is on
@@ -282,6 +306,9 @@ impl std::fmt::Debug for OffloadSession {
             .finish()
     }
 }
+
+/// [`RoundReport::server`] of a round that completed on the client.
+pub(crate) const LOCAL: &str = "client";
 
 /// Trace labels for a server's links. The primary (index 0) keeps the
 /// historical bare `"uplink"`/`"downlink"` labels — a fleet of one
@@ -306,8 +333,43 @@ impl OffloadSession {
     ///
     /// # Errors
     ///
-    /// Returns [`OffloadError`] for unknown models/cuts or app failures.
+    /// Returns [`OffloadError`] for unknown models/cuts or app failures,
+    /// and the pre-send's network error when no candidate acknowledges
+    /// the model.
     pub fn new(cfg: SessionConfig) -> Result<OffloadSession, OffloadError> {
+        let mut session = OffloadSession::unprovisioned(cfg)?;
+        session.provision()?;
+        Ok(session)
+    }
+
+    /// Starts the session behind a one-shot scenario. `await_ack` is
+    /// `false` for the before-ACK strategy. Unlike [`OffloadSession::new`],
+    /// a fleet whose every candidate gave up on the model pre-send (retry
+    /// budget spent, or a multi-server fleet all unreachable) is not an
+    /// error: the round completes locally. A fleet of one without a retry
+    /// policy still fails fast.
+    pub(crate) fn one_shot(
+        cfg: SessionConfig,
+        await_ack: bool,
+    ) -> Result<OffloadSession, OffloadError> {
+        let mut session = OffloadSession::unprovisioned(cfg)?;
+        session.await_ack = await_ack;
+        match session.provision() {
+            Ok(()) => {}
+            Err(e)
+                if classify(&e) == FaultClass::Transient
+                    && (session.cfg.retry.is_some() || session.pool.len() > 1) =>
+            {
+                session.presend_failed = true;
+            }
+            Err(e) => return Err(e),
+        }
+        Ok(session)
+    }
+
+    /// Builds the client (app loaded, trigger armed) and the endpoint and
+    /// links of the cheapest fleet candidate, before any pre-send.
+    fn unprovisioned(cfg: SessionConfig) -> Result<OffloadSession, OffloadError> {
         if cfg.servers.is_empty() {
             return Err(OffloadError::Config(
                 "session needs at least one edge server in its fleet".into(),
@@ -358,6 +420,8 @@ impl OffloadSession {
             agreed: None,
             round: 0,
             ack_at: Duration::ZERO,
+            await_ack: true,
+            presend_failed: false,
             tracer,
             model_bytes: 0,
             last_full_bytes,
@@ -369,19 +433,23 @@ impl OffloadSession {
         };
         session.apply_meter();
         session.setup_client()?;
-        // Provision the chosen candidate; if its pre-send exhausts the
-        // retry budget and other candidates remain, try them before
-        // giving up (single-server fleets keep the strict error).
-        if let Err(e) = session.setup_server() {
-            if classify(&e) != FaultClass::Transient || session.pool.len() == 1 {
+        Ok(session)
+    }
+
+    /// Provisions the chosen candidate; if its pre-send exhausts the
+    /// retry budget and other candidates remain, tries them before giving
+    /// up (single-server fleets keep the strict error).
+    fn provision(&mut self) -> Result<(), OffloadError> {
+        if let Err(e) = self.setup_server() {
+            if classify(&e) != FaultClass::Transient || self.pool.len() == 1 {
                 return Err(e);
             }
-            session.pool.mark_exhausted(session.current);
-            if !session.failover()? {
+            self.pool.mark_exhausted(self.current);
+            if !self.failover()? {
                 return Err(e);
             }
         }
-        Ok(session)
+        Ok(())
     }
 
     fn client_params(&self) -> Result<ParamStore, OffloadError> {
@@ -418,12 +486,10 @@ impl OffloadSession {
     }
 
     /// Runs (memoized) static effect analysis over the session's app and
-    /// installs its consumers: write-set capture hints on the client
-    /// browser (delta capture deep-compares only statically-writable
-    /// globals) and the summary itself for the pre-ship gates in
-    /// `round_start`. A nondeterministic app is *not* an error here —
-    /// every round is forced local instead, since the paper's fallback
-    /// (local execution) stays sound when replay does not.
+    /// keeps the summary for the pre-ship gates in `round_start` and the
+    /// predictor's cost prior. A nondeterministic app is *not* an error
+    /// here — every round is forced local instead, since the paper's
+    /// fallback (local execution) stays sound when replay does not.
     ///
     /// # Errors
     ///
@@ -435,13 +501,6 @@ impl OffloadSession {
             .effect_cache
             .summary_html(app_html, &opts)
             .map_err(OffloadError::Analyze)?;
-        if !summary.is_nondeterministic() {
-            if let Some(writes) = summary.writable_globals() {
-                self.client.browser.set_capture_hints(Some(CaptureHints {
-                    writable_globals: writes.clone(),
-                }));
-            }
-        }
         self.effects = Some(summary);
         Ok(())
     }
@@ -551,16 +610,6 @@ impl OffloadSession {
             self.cut,
             self.cfg.seed,
         );
-        // The server captures the downlink delta against the same app, so
-        // it prunes by the same write set (fresh endpoints from failover /
-        // handoff re-enter here and get the hints re-installed).
-        if let Some(summary) = &self.effects {
-            if let Some(writes) = summary.writable_globals() {
-                self.server.browser.set_capture_hints(Some(CaptureHints {
-                    writable_globals: writes.clone(),
-                }));
-            }
-        }
         Ok(())
     }
 
@@ -578,6 +627,17 @@ impl OffloadSession {
     /// A snapshot of the session's event trace so far (all rounds).
     pub fn trace(&self) -> Trace {
         self.tracer.finish()
+    }
+
+    /// When the serving server acknowledged the model pre-send, or `None`
+    /// when no candidate ever did.
+    pub(crate) fn presend_ack(&self) -> Option<Duration> {
+        (!self.presend_failed).then_some(self.ack_at)
+    }
+
+    /// Bytes of the (possibly rear-only) model bundle pre-sent to servers.
+    pub(crate) fn model_bytes(&self) -> u64 {
+        self.model_bytes
     }
 
     /// Moves the client to a *new, fresh* edge server with the current
@@ -798,8 +858,11 @@ impl OffloadSession {
             .map(|m| m.total_ops())
             .unwrap_or(0);
         // Wait for the pre-send ACK before the first offload (the paper's
-        // "after ACK" regime; `ScenarioConfig` covers the before-ACK case).
-        self.clock.advance_to(self.ack_at);
+        // "after ACK" regime). A before-ACK scenario clicks right away, so
+        // its snapshot queues behind the model upload on the uplink.
+        if self.await_ack {
+            self.clock.advance_to(self.ack_at);
+        }
 
         // The user loads a new image and clicks inference.
         let url = apps::synthetic_image_data_url(image_seed, self.cfg.image_bytes);
@@ -829,6 +892,13 @@ impl OffloadSession {
             return Err(OffloadError::Protocol(format!(
                 "expected offload point, got {outcome:?}"
             )));
+        }
+
+        // No candidate ever acknowledged the model: degrade before
+        // shipping anything.
+        if self.presend_failed {
+            let report = self.finish_round_locally(clicked_at)?;
+            return Ok(RoundStep::Done(report));
         }
 
         // Static effect gates: consulted before the predictor and before
@@ -1182,17 +1252,13 @@ impl OffloadSession {
         if self.cfg.balance {
             prior = prior.saturating_add(self.queue_prior());
         }
-        // The current server is provisioned by the time a round runs
-        // (infer waits out the ACK), so no model bytes remain to charge.
+        // Before the ACK no model bytes have been confirmed (a before-ACK
+        // click); after it, all of them have (the pre-send is a single
+        // acknowledged upload).
+        let model_ready = self.clock.now() >= self.ack_at;
+        let acked = if model_ready { self.model_bytes } else { 0 };
         offloader
-            .decide_predictive_with_prior(
-                &link,
-                true,
-                self.model_bytes,
-                &prediction,
-                &policy,
-                prior,
-            )
+            .decide_predictive_with_prior(&link, model_ready, acked, &prediction, &policy, prior)
             .map(Some)
     }
 
@@ -1306,7 +1372,7 @@ impl OffloadSession {
             total: self.clock.now() - clicked_at,
             result: self.client.browser.element_text("result")?.to_string(),
             fell_back,
-            server: "client".to_string(),
+            server: LOCAL.to_string(),
             prediction: None,
             proactive: false,
             ops_used: 0,
@@ -1343,7 +1409,7 @@ impl OffloadSession {
                             base.declared_names(),
                         )?;
                     }
-                    if self.transfer("up", bytes, anchor)?.is_some() {
+                    if let Some(wire) = self.transfer("up", delta.script(), anchor)? {
                         let restore_start = self.clock.now();
                         self.server.browser.apply_delta(&delta)?;
                         self.charge_restore_server(bytes);
@@ -1355,7 +1421,7 @@ impl OffloadSession {
                             self.clock.now(),
                             Some(bytes),
                         );
-                        return Ok(Some((bytes, true)));
+                        return Ok(Some((wire, true)));
                     }
                     // The delta never arrived, so the server's agreed base
                     // can no longer be trusted. Drop the agreement and fall
@@ -1371,11 +1437,11 @@ impl OffloadSession {
         // server receives a fresh full snapshot, so this is what the pool's
         // selection metric prices as pending migration state.
         self.last_full_bytes = bytes;
-        if self.transfer("up", bytes, anchor)?.is_none() {
+        let Some(wire) = self.transfer("up", snapshot.html(), anchor)? else {
             return Ok(None);
-        }
+        };
         self.server.restore(&snapshot)?;
-        Ok(Some((bytes, false)))
+        Ok(Some((wire, false)))
     }
 
     fn migrate_down(
@@ -1408,9 +1474,9 @@ impl OffloadSession {
                         server_base.declared_names(),
                     )?;
                 }
-                if self.transfer("down", bytes, anchor)?.is_none() {
+                let Some(wire) = self.transfer("down", delta.script(), anchor)? else {
                     return Ok(None);
-                }
+                };
                 let restore_start = self.clock.now();
                 self.client.browser.apply_delta(&delta)?;
                 self.charge_restore_client(bytes);
@@ -1422,29 +1488,53 @@ impl OffloadSession {
                     self.clock.now(),
                     Some(bytes),
                 );
-                return Ok(Some((bytes, true)));
+                return Ok(Some((wire, true)));
             }
         }
         let (snapshot, _) = self.server.capture(&self.cfg.snapshot)?;
-        let bytes = snapshot.size_bytes();
-        if self.transfer("down", bytes, anchor)?.is_none() {
+        let Some(wire) = self.transfer("down", snapshot.html(), anchor)? else {
             return Ok(None);
-        }
+        };
         self.client.restore(&snapshot)?;
-        Ok(Some((bytes, false)))
+        Ok(Some((wire, false)))
     }
 
-    /// Ships `bytes` over the uplink (`dir == "up"`) or downlink, advancing
-    /// the clock to delivery and recording a `transfer_{dir}` span.
-    /// Transient faults are retried under the session's policy (the
-    /// deadline measured from `anchor`, the moment the user clicked);
+    /// Ships `payload` over the uplink (`dir == "up"`) or downlink,
+    /// advancing the clock to delivery and recording a `transfer_{dir}`
+    /// span; returns the bytes that crossed the wire. With
+    /// [`SessionConfig::compress`] on, the real LZ+Huffman codec packs
+    /// the payload first and unpacks it at the receiver, each side charged
+    /// its device's codec time as a `compress_{dir}`/`decompress_{dir}`
+    /// event. Transient faults are retried under the session's policy
+    /// (the deadline measured from `anchor`, the moment the user clicked);
     /// `Ok(None)` means the retry budget ran out.
     fn transfer(
         &mut self,
         dir: &str,
-        bytes: u64,
+        payload: &str,
         anchor: Duration,
-    ) -> Result<Option<()>, OffloadError> {
+    ) -> Result<Option<u64>, OffloadError> {
+        let size = payload.len() as u64;
+        let (sender, receiver) = match dir {
+            "up" => (&self.client, &self.server),
+            _ => (&self.server, &self.client),
+        };
+        let packed = if self.cfg.compress {
+            let packed = snapedge_net::compress::compress(payload.as_bytes());
+            let start = self.clock.now();
+            self.clock.advance_by(sender.device.compress_time(size));
+            self.tracer.record(
+                &format!("compress_{dir}"),
+                sender.lane(),
+                EventKind::Codec,
+                start,
+                self.clock.now(),
+            );
+            Some(packed)
+        } else {
+            None
+        };
+        let bytes = packed.as_ref().map_or(size, |p| p.len() as u64);
         let link = match dir {
             "up" => &mut self.uplink,
             _ => &mut self.downlink,
@@ -1476,7 +1566,22 @@ impl OffloadSession {
         self.pool.observe_transfer(self.current, &xfer);
         self.clock.advance_to(xfer.finish);
         self.tracer.end(span, xfer.finish);
-        Ok(Some(()))
+        if let Some(packed) = packed {
+            let unpacked = snapedge_net::compress::decompress(&packed)?;
+            if unpacked != payload.as_bytes() {
+                return Err(OffloadError::Protocol("codec roundtrip mismatch".into()));
+            }
+            let start = self.clock.now();
+            self.clock.advance_by(receiver.device.decompress_time(size));
+            self.tracer.record(
+                &format!("decompress_{dir}"),
+                receiver.lane(),
+                EventKind::Codec,
+                start,
+                self.clock.now(),
+            );
+        }
+        Ok(Some(bytes))
     }
 
     fn charge_capture_client(&self, bytes: u64) {

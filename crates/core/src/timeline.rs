@@ -144,11 +144,11 @@ pub fn render_ascii(spans: &[Span], width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_scenario, ScenarioConfig, Strategy};
+    use crate::{run_scenario, SessionConfig, Strategy};
 
     #[test]
     fn spans_cover_the_whole_inference() {
-        let report = run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck)).unwrap();
+        let report = run_scenario(&SessionConfig::tiny(), Strategy::OffloadAfterAck).unwrap();
         let spans = spans(&report);
         assert!(!spans.is_empty());
         // Contiguous, ordered, and ending at the total.
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn local_runs_have_one_span() {
-        let report = run_scenario(&ScenarioConfig::tiny(Strategy::ClientOnly)).unwrap();
+        let report = run_scenario(&SessionConfig::tiny(), Strategy::ClientOnly).unwrap();
         let spans = spans(&report);
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].lane, Lane::Client);
@@ -169,7 +169,7 @@ mod tests {
 
     #[test]
     fn render_contains_every_phase_and_respects_width() {
-        let report = run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck)).unwrap();
+        let report = run_scenario(&SessionConfig::tiny(), Strategy::OffloadAfterAck).unwrap();
         let chart = render_ascii(&spans(&report), 40);
         assert!(chart.contains("exec (server)"));
         assert!(chart.contains("transfer up"));

@@ -61,26 +61,6 @@ pub(crate) struct CaptureWork {
     cells: u64,
 }
 
-/// Statically-derived capture hints, produced by the effect analysis in
-/// `snapedge-analyze` and installed by the offload layer via
-/// [`Browser::set_capture_hints`].
-///
-/// The contract: between two agreed bases, only event-handler code (plus
-/// replayable DOM edits, which the delta diffs separately and never
-/// prunes) runs — so a global outside `writable_globals` cannot have a
-/// different deep value than it had at the base, and delta capture may
-/// skip its deep heap comparison. Whenever the analysis cannot prove a
-/// write set (dynamic member writes, host aliasing), the offload layer
-/// installs *no* hints and capture falls back to the full walk,
-/// bit-identically.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CaptureHints {
-    /// Globals some event-handler-reachable code can (transitively)
-    /// write. Everything else is treated as unchanged without walking its
-    /// reachable heap.
-    pub writable_globals: BTreeSet<String>,
-}
-
 /// The state both sides agreed on after the previous migration.
 #[derive(Clone)]
 pub struct StateBase {
@@ -140,9 +120,6 @@ pub struct DeltaStats {
     pub pending_events: usize,
     /// Script size in bytes.
     pub bytes: usize,
-    /// Globals whose deep comparison was skipped via [`CaptureHints`]
-    /// (statically unwritable, treated as unchanged).
-    pub pruned_globals: usize,
 }
 
 /// A state diff, as an executable MiniJS script.
@@ -267,7 +244,6 @@ impl Browser {
             &self.core,
             &base.core,
             options,
-            self.capture_hints.as_ref(),
             if anchored {
                 self.snap_cache.as_ref()
             } else {
@@ -302,7 +278,6 @@ fn capture_delta(
     new: &Core,
     base: &Core,
     options: &SnapshotOptions,
-    hints: Option<&CaptureHints>,
     cache: Option<&SnapCache>,
     render_cache: &mut RenderCache,
     work: &mut CaptureWork,
@@ -361,16 +336,6 @@ fn capture_delta(
         let sym = name.sym();
         let same = match base.globals.get(sym) {
             Some(old) => {
-                // Write-set pruning: a global the effect analysis proved
-                // unwritable by handler code cannot differ from the base —
-                // skip the deep heap walk. Globals absent from the base
-                // are always "changed" regardless of hints.
-                if let Some(h) = hints {
-                    if !h.writable_globals.contains(name.as_str()) {
-                        stats.pruned_globals += 1;
-                        continue;
-                    }
-                }
                 // Incremental skip: not a candidate → provably unchanged.
                 if let Some(cand) = &candidates {
                     if !cand.contains(&sym) {

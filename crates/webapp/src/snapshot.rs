@@ -51,11 +51,10 @@ pub struct SnapshotOptions {
     pub verify: bool,
     /// Run the static effect analysis (`snapedge-analyze`) over the app.
     /// As with `verify`, the webapp crate only carries the flag; the
-    /// offload layer computes the per-app effect summary, installs
-    /// [`CaptureHints`](crate::CaptureHints) so delta capture walks only
-    /// statically-writable state, rejects nondeterministic apps before
-    /// any link traffic, and flags guaranteed meter exhaustion
-    /// pre-ship. Off (the default) leaves every capture byte-identical
+    /// offload layer computes the per-app effect summary, rejects
+    /// nondeterministic apps before any link traffic, flags guaranteed
+    /// meter exhaustion pre-ship, and feeds the op floor to the offload
+    /// predictor. Off (the default) leaves every capture byte-identical
     /// to the unanalyzed path.
     pub effects: bool,
     /// Let delta capture use the write-barrier dirty sets recorded since

@@ -26,18 +26,17 @@ fn main() -> Result<(), OffloadError> {
             Strategy::ServerOnly,
             Strategy::OffloadBeforeAck,
             Strategy::OffloadAfterAck,
-            Strategy::Partial {
-                cut: "1st_pool".to_string(),
-            },
+            Strategy::Partial,
         ] {
-            let report = run_scenario(&ScenarioConfig::paper(model, strategy))?;
+            let cfg = SessionConfig::paper_builder(model).cut("1st_pool").build();
+            let report = run_scenario(&cfg, strategy)?;
             row.push(format!("{:>12.2}", report.total.as_secs_f64()));
         }
         println!("{}", row.join(" "));
     }
 
     println!();
-    let report = run_scenario(&ScenarioConfig::paper("agenet", Strategy::OffloadAfterAck))?;
+    let report = run_scenario(&SessionConfig::paper("agenet"), Strategy::OffloadAfterAck)?;
     println!(
         "AgeNet offloaded after ACK classified the image as: {}",
         report.result

@@ -50,12 +50,12 @@ fn main() -> Result<(), OffloadError> {
     );
 
     // --- 2. Actually run partial inference at that cut.
-    let report = run_scenario(&ScenarioConfig::paper(
-        "googlenet",
-        Strategy::Partial {
-            cut: best.cut.label.clone(),
-        },
-    ))?;
+    let report = run_scenario(
+        &SessionConfig::paper_builder("googlenet")
+            .cut(&best.cut.label)
+            .build(),
+        Strategy::Partial,
+    )?;
     println!(
         "Measured partial inference at {}: {:.2}s total; snapshot carried {:.2} MiB up",
         best.cut.label,

@@ -14,16 +14,16 @@ use snapedge_core::prelude::*;
 fn main() -> Result<(), OffloadError> {
     println!("snapedge quickstart: tiny CNN, real arithmetic, 30 Mbps link\n");
 
+    // One config for every strategy; only `Strategy::Partial` uses the cut.
+    let cfg = SessionConfig::tiny_builder().cut("1st_pool").build();
     for strategy in [
         Strategy::ClientOnly,
         Strategy::ServerOnly,
         Strategy::OffloadAfterAck,
         Strategy::OffloadBeforeAck,
-        Strategy::Partial {
-            cut: "1st_pool".to_string(),
-        },
+        Strategy::Partial,
     ] {
-        let report = run_scenario(&ScenarioConfig::tiny(strategy.clone()))?;
+        let report = run_scenario(&cfg, strategy)?;
         println!("== {strategy:?}");
         println!("   result on client screen: {}", report.result);
         println!("   total inference time:    {:?}", report.total);

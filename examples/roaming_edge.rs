@@ -20,7 +20,7 @@ fn main() -> Result<(), OffloadError> {
 
     // --- Service area 1: pre-installed edge server. Normal offloading.
     println!("Area 1: edge server with the offloading system pre-installed");
-    let first = run_scenario(&ScenarioConfig::paper(model, Strategy::OffloadAfterAck))?;
+    let first = run_scenario(&SessionConfig::paper(model), Strategy::OffloadAfterAck)?;
     println!(
         "  model pre-sent once ({:.0} MiB), then inference took {:.2}s -> {}",
         first.model_upload_bytes as f64 / (1024.0 * 1024.0),
@@ -49,7 +49,7 @@ fn main() -> Result<(), OffloadError> {
 
     // The overlay carried the model, so offloading starts in the
     // "pre-sent" regime immediately: only the tiny snapshot migrates.
-    let roamed = run_scenario(&ScenarioConfig::paper(model, Strategy::OffloadAfterAck))?;
+    let roamed = run_scenario(&SessionConfig::paper(model), Strategy::OffloadAfterAck)?;
     let migration = roamed.total - roamed.breakdown.exec_server;
     println!(
         "  after installation, snapshot migration costs only {:.2}s on top of server execution",
@@ -57,7 +57,7 @@ fn main() -> Result<(), OffloadError> {
     );
 
     // --- Compare: offloading to a pre-installed server without pre-sending.
-    let cold = run_scenario(&ScenarioConfig::paper(model, Strategy::OffloadBeforeAck))?;
+    let cold = run_scenario(&SessionConfig::paper(model), Strategy::OffloadBeforeAck)?;
     println!(
         "\nFor contrast, first-offload-without-pre-sending on a pre-installed server: {:.2}s \
          (the snapshot queues behind the {:.0} MiB model upload)",

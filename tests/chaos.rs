@@ -61,7 +61,7 @@ fn fallback_count(trace: &Trace) -> usize {
 }
 
 fn clean_run() -> ScenarioReport {
-    run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck)).unwrap()
+    run_scenario(&SessionConfig::tiny(), Strategy::OffloadAfterAck).unwrap()
 }
 
 // --- Scenario-level chaos -------------------------------------------------
@@ -76,10 +76,8 @@ fn mid_transfer_outage_costs_exactly_the_stall() {
     let hit = s + secs(0.0002);
     let plan = FaultPlan::none().down(hit, hit + secs(0.05)).unwrap();
     let faulty = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
-            .up_faults(plan)
-            .build(),
+        &SessionConfig::tiny_builder().up_faults(plan).build(),
+        Strategy::OffloadAfterAck,
     )
     .unwrap();
     assert_eq!(
@@ -106,14 +104,14 @@ fn refused_transfer_retries_exactly_at_the_window_edge() {
     let window_end = s + secs(0.02);
     let plan = FaultPlan::none().down(s - secs(0.001), window_end).unwrap();
     let faulty = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
+        &SessionConfig::tiny_builder()
             .up_faults(plan)
             .retry(RetryPolicy {
                 backoff_base: secs(0.001),
                 ..RetryPolicy::default()
             })
             .build(),
+        Strategy::OffloadAfterAck,
     )
     .unwrap();
     assert_eq!(faulty.result, clean.result);
@@ -142,11 +140,11 @@ fn corrupted_snapshot_is_retransmitted_and_accounted() {
         .corrupt(s - secs(0.001), f + secs(0.001))
         .unwrap();
     let faulty = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
+        &SessionConfig::tiny_builder()
             .up_faults(plan)
             .retry(RetryPolicy::default())
             .build(),
+        Strategy::OffloadAfterAck,
     )
     .unwrap();
     assert_eq!(faulty.result, clean.result);
@@ -168,11 +166,8 @@ fn degraded_windows_slow_the_run_but_never_change_the_result() {
     let clean = clean_run();
     let (s, _) = snapshot_up_window(&clean.trace);
     let plan = FaultPlan::none().degraded(s, s + secs(10.0), 0.25).unwrap();
-    let cfg = ScenarioConfig::tiny_builder()
-        .strategy(Strategy::OffloadAfterAck)
-        .up_faults(plan)
-        .build();
-    let faulty = run_scenario(&cfg).unwrap();
+    let cfg = SessionConfig::tiny_builder().up_faults(plan).build();
+    let faulty = run_scenario(&cfg, Strategy::OffloadAfterAck).unwrap();
     assert_eq!(faulty.result, clean.result);
     assert!(faulty.total > clean.total, "a degraded link must cost time");
     assert_eq!(faulty.retry_count(), 0, "degradation needs no retransmit");
@@ -181,7 +176,7 @@ fn degraded_windows_slow_the_run_but_never_change_the_result() {
         "degradation is visible in the trace"
     );
     // Deterministic: the same plan replays to the same nanosecond.
-    let replay = run_scenario(&cfg).unwrap();
+    let replay = run_scenario(&cfg, Strategy::OffloadAfterAck).unwrap();
     assert_eq!(replay.total, faulty.total);
 }
 
@@ -193,8 +188,7 @@ fn retry_budget_exhaustion_falls_back_to_local_execution() {
         .down(Duration::ZERO, secs(3600.0))
         .unwrap();
     let faulty = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
+        &SessionConfig::tiny_builder()
             .up_faults(plan)
             .retry(RetryPolicy {
                 max_attempts: 2,
@@ -202,6 +196,7 @@ fn retry_budget_exhaustion_falls_back_to_local_execution() {
                 ..RetryPolicy::default()
             })
             .build(),
+        Strategy::OffloadAfterAck,
     )
     .unwrap();
     assert!(faulty.fell_back);
@@ -221,10 +216,8 @@ fn without_a_retry_policy_plan_outages_still_fail_fast() {
     let (s, f) = snapshot_up_window(&clean.trace);
     let plan = FaultPlan::none().down(s - secs(0.001), f).unwrap();
     let err = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
-            .up_faults(plan)
-            .build(),
+        &SessionConfig::tiny_builder().up_faults(plan).build(),
+        Strategy::OffloadAfterAck,
     )
     .unwrap_err();
     assert!(matches!(err, OffloadError::Net(_)), "{err:?}");
@@ -235,17 +228,16 @@ fn chaos_seed_matrix_is_correct_and_reproducible() {
     let clean = clean_run();
     for strategy in [Strategy::OffloadAfterAck, Strategy::OffloadBeforeAck] {
         for seed in [1u64, 2, 3, 5, 8] {
-            let cfg = ScenarioConfig::tiny_builder()
-                .strategy(strategy.clone())
+            let cfg = SessionConfig::tiny_builder()
                 .faults(FaultPlan::chaos(seed, secs(1.0)))
                 .retry(RetryPolicy::default())
                 .build();
-            let a = run_scenario(&cfg).unwrap();
+            let a = run_scenario(&cfg, strategy).unwrap();
             assert_eq!(
                 a.result, clean.result,
                 "seed {seed} ({strategy:?}) changed the result"
             );
-            let b = run_scenario(&cfg).unwrap();
+            let b = run_scenario(&cfg, strategy).unwrap();
             assert_eq!(a.total, b.total, "seed {seed} is not reproducible");
             assert_eq!(a.retry_count(), b.retry_count());
             assert_eq!(a.fell_back, b.fell_back);

@@ -1,12 +1,11 @@
-//! Effect-analysis suite: the static effect pass and its three consumers.
+//! Effect-analysis suite: the static effect pass and its consumers.
 //!
-//! The contract under test (ISSUE 8: static-analysis tentpole):
+//! The contract under test:
 //!
-//! 1. **Pruning is invisible** — write-set-pruned delta capture emits
-//!    byte-identical scripts to the full heap walk, for every app the
-//!    analysis can attribute and across the chaos seed matrix; when a
-//!    write escapes attribution (dynamic member writes), the analysis
-//!    says so and capture falls back to the full walk.
+//! 1. **Analysis is invisible to a deterministic app** — effects-on
+//!    sessions replay the same rounds as effects-off ones across the chaos
+//!    seed matrix; when a write escapes attribution (dynamic member
+//!    writes), the analysis says so and delta capture still ships it.
 //! 2. **Gates fire before the wire** — a nondeterministic app is rejected
 //!    (endpoint) or forced local (session) with zero snapshot bytes, and
 //!    a round whose guaranteed op floor already blows the meter budget
@@ -17,7 +16,7 @@
 use snapedge_core::prelude::*;
 use snapedge_core::Endpoint;
 use snapedge_net::SimClock;
-use snapedge_webapp::{Browser, CaptureHints, DeltaCapture, FnHost, JsValue};
+use snapedge_webapp::{Browser, DeltaCapture, FnHost, JsValue};
 use std::time::Duration;
 
 fn secs(s: f64) -> Duration {
@@ -71,29 +70,15 @@ fn effects_are_off_by_default_and_default_traces_stay_byte_identical() {
     );
 }
 
-/// A page whose handler writes exactly one of many held globals — the
-/// pruning case — built directly on the browser substrate.
-fn one_writer_app() -> String {
-    "<html><body>\n<button id=\"btn\">go</button>\n</body>\n<script>\n\
-     var ballast1 = [1, 2, 3, 4];\n\
-     var ballast2 = [5, 6, 7, 8];\n\
-     var counter = 0;\n\
-     function onTick() { counter = counter + 1; }\n\
-     document.getElementById(\"btn\").addEventListener(\"tick\", onTick);\n\
-     </script></html>\n"
-        .to_string()
-}
-
 /// Loads `app`, runs to idle, records the base, fires `tick`, then
-/// captures the delta under the given hints.
-fn capture_with_hints(app: &str, hints: Option<CaptureHints>) -> snapedge_webapp::DeltaScript {
+/// captures the delta.
+fn capture_tick_delta(app: &str) -> snapedge_webapp::DeltaScript {
     let mut browser = Browser::new();
     browser.load_html(app).unwrap();
     browser.run_until_idle().unwrap();
     let base = browser.state_base();
     browser.dispatch("btn", "tick").unwrap();
     browser.run_until_idle().unwrap();
-    browser.set_capture_hints(hints);
     match browser
         .capture_delta(&base, &SnapshotOptions::default())
         .unwrap()
@@ -104,43 +89,10 @@ fn capture_with_hints(app: &str, hints: Option<CaptureHints>) -> snapedge_webapp
 }
 
 #[test]
-fn pruned_delta_capture_matches_the_full_walk_byte_for_byte() {
-    let app = one_writer_app();
-    let summary = snapedge_core::EffectCache::new()
-        .summary_html(&app, &EffectOptions::new())
-        .unwrap();
-    let writes = summary
-        .writable_globals()
-        .expect("attributable app")
-        .clone();
-    assert_eq!(writes.iter().collect::<Vec<_>>(), ["counter"]);
-
-    let full = capture_with_hints(&app, None);
-    let pruned = capture_with_hints(
-        &app,
-        Some(CaptureHints {
-            writable_globals: writes,
-        }),
-    );
-    assert_eq!(
-        full.script(),
-        pruned.script(),
-        "pruned capture must stay bit-identical"
-    );
-    assert_eq!(full.stats().pruned_globals, 0);
-    assert!(
-        pruned.stats().pruned_globals >= 2,
-        "the ballast globals were pruned: {:?}",
-        pruned.stats()
-    );
-}
-
-#[test]
 fn dynamic_member_write_app_falls_back_to_the_full_walk() {
     // The handler writes through a local alias whose referent is decided
     // at runtime: the write set cannot be proven, so the analysis must
-    // refuse to offer one (the offload layer then installs no hints and
-    // capture walks everything). Note `obj[key] = v` on a *global* is
+    // refuse to offer one. Note `obj[key] = v` on a *global* is
     // still attributable — the set roots at `obj` — which is why the
     // fallback needs this aliased shape.
     let app = "<html><body>\n<button id=\"btn\">go</button>\n</body>\n<script>\n\
@@ -160,7 +112,7 @@ fn dynamic_member_write_app_falls_back_to_the_full_walk() {
         summary.render()
     );
     // The full walk still captures the dynamic write correctly.
-    let delta = capture_with_hints(&app, None);
+    let delta = capture_tick_delta(&app);
     assert!(
         delta.script().contains("42"),
         "the dynamically-written value ships in the delta: {}",

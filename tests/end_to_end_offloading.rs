@@ -29,24 +29,22 @@ fn ground_truth_class(seed: u64, image_bytes: usize) -> usize {
 
 #[test]
 fn every_strategy_matches_the_dnn_engines_ground_truth() {
-    let cfg = ScenarioConfig::tiny(Strategy::ClientOnly);
+    let cfg = SessionConfig::tiny();
     let expected = format!("class_{}", ground_truth_class(cfg.seed, cfg.image_bytes));
-    for strategy in [
-        Strategy::ClientOnly,
-        Strategy::ServerOnly,
-        Strategy::OffloadBeforeAck,
-        Strategy::OffloadAfterAck,
-        Strategy::Partial {
-            cut: "1st_pool".into(),
-        },
-        Strategy::Partial {
-            cut: "2nd_pool".into(),
-        },
+    for (strategy, cut) in [
+        (Strategy::ClientOnly, None),
+        (Strategy::ServerOnly, None),
+        (Strategy::OffloadBeforeAck, None),
+        (Strategy::OffloadAfterAck, None),
+        (Strategy::Partial, Some("1st_pool")),
+        (Strategy::Partial, Some("2nd_pool")),
     ] {
-        let report = run_scenario(&ScenarioConfig::tiny(strategy.clone())).unwrap();
+        let mut cfg = SessionConfig::tiny();
+        cfg.cut = cut.map(str::to_string);
+        let report = run_scenario(&cfg, strategy).unwrap();
         assert!(
             report.result.starts_with(&expected),
-            "strategy {strategy:?}: got {:?}, expected {expected}*",
+            "strategy {strategy:?} {cut:?}: got {:?}, expected {expected}*",
             report.result
         );
     }
@@ -55,13 +53,14 @@ fn every_strategy_matches_the_dnn_engines_ground_truth() {
 #[test]
 fn partial_inference_works_at_every_valid_cut_of_the_tiny_net() {
     let net = zoo::tiny_cnn();
-    let reference = run_scenario(&ScenarioConfig::tiny(Strategy::ClientOnly)).unwrap();
+    let reference = run_scenario(&SessionConfig::tiny(), Strategy::ClientOnly).unwrap();
     for cut in net.cut_points() {
         // Skip the classifier tail: offloading after softmax is pointless
         // but still mechanically valid; include it anyway.
-        let report = run_scenario(&ScenarioConfig::tiny(Strategy::Partial {
-            cut: cut.label.clone(),
-        }))
+        let report = run_scenario(
+            &SessionConfig::tiny_builder().cut(&cut.label).build(),
+            Strategy::Partial,
+        )
         .unwrap();
         assert_eq!(report.result, reference.result, "cut {}", cut.label);
     }
@@ -69,13 +68,15 @@ fn partial_inference_works_at_every_valid_cut_of_the_tiny_net() {
 
 #[test]
 fn deeper_cuts_shift_work_from_server_to_client() {
-    let shallow = run_scenario(&ScenarioConfig::tiny(Strategy::Partial {
-        cut: "1st_conv".into(),
-    }))
+    let shallow = run_scenario(
+        &SessionConfig::tiny_builder().cut("1st_conv").build(),
+        Strategy::Partial,
+    )
     .unwrap();
-    let deep = run_scenario(&ScenarioConfig::tiny(Strategy::Partial {
-        cut: "2nd_pool".into(),
-    }))
+    let deep = run_scenario(
+        &SessionConfig::tiny_builder().cut("2nd_pool").build(),
+        Strategy::Partial,
+    )
     .unwrap();
     assert!(deep.breakdown.exec_client > shallow.breakdown.exec_client);
     assert!(deep.breakdown.exec_server < shallow.breakdown.exec_server);
@@ -127,18 +128,18 @@ fn rear_only_server_cannot_execute_front_layers() {
 fn snapshots_grow_with_feature_size_not_model_size() {
     // Pre-sending means the snapshot excludes the model: full-offload
     // snapshots are tiny even for 44 MB models.
-    let full = run_scenario(&ScenarioConfig::paper("agenet", Strategy::OffloadAfterAck)).unwrap();
+    let full = run_scenario(&SessionConfig::paper("agenet"), Strategy::OffloadAfterAck).unwrap();
     assert!(
         full.snapshot_up_bytes < 200 * 1024,
         "full-offload snapshot is {} bytes",
         full.snapshot_up_bytes
     );
-    let partial = run_scenario(&ScenarioConfig::paper(
-        "agenet",
-        Strategy::Partial {
-            cut: "1st_pool".into(),
-        },
-    ))
+    let partial = run_scenario(
+        &SessionConfig::paper_builder("agenet")
+            .cut("1st_pool")
+            .build(),
+        Strategy::Partial,
+    )
     .unwrap();
     assert!(
         partial.snapshot_up_bytes > 10 * full.snapshot_up_bytes,
@@ -151,7 +152,7 @@ fn result_snapshot_updates_the_client_screen() {
     // The DOM mutation performed on the server must be visible on the
     // client after the return migration — "we can even change the
     // client's screen at the edge server".
-    let report = run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck)).unwrap();
+    let report = run_scenario(&SessionConfig::tiny(), Strategy::OffloadAfterAck).unwrap();
     assert!(report.result.starts_with("class_"));
     // The result element was "waiting", then "image loaded", and finally
     // the label — all three states travelled through snapshots.
@@ -160,9 +161,32 @@ fn result_snapshot_updates_the_client_screen() {
 }
 
 #[test]
+fn compressed_sessions_keep_labels_and_shrink_the_first_upload() {
+    let run = |compress: bool| {
+        let cfg = SessionConfig::tiny_builder().compress(compress).build();
+        let mut session = OffloadSession::new(cfg).unwrap();
+        (1..=3)
+            .map(|i| session.infer(i).unwrap())
+            .collect::<Vec<RoundReport>>()
+    };
+    let plain = run(false);
+    let packed = run(true);
+    for (p, c) in plain.iter().zip(&packed) {
+        assert_eq!(c.result, p.result, "round {}", p.round);
+        assert!(!c.fell_back);
+    }
+    assert!(
+        packed[0].up_bytes < plain[0].up_bytes,
+        "round 1 ships a compressed full snapshot: {} vs {}",
+        packed[0].up_bytes,
+        plain[0].up_bytes
+    );
+}
+
+#[test]
 fn ack_timing_reflects_model_size() {
-    let small = run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck)).unwrap();
-    let large = run_scenario(&ScenarioConfig::paper("agenet", Strategy::OffloadAfterAck)).unwrap();
+    let small = run_scenario(&SessionConfig::tiny(), Strategy::OffloadAfterAck).unwrap();
+    let large = run_scenario(&SessionConfig::paper("agenet"), Strategy::OffloadAfterAck).unwrap();
     assert!(large.ack_at.unwrap() > small.ack_at.unwrap());
     assert!(large.ack_at.unwrap().as_secs_f64() > 10.0); // 44 MiB at 30 Mbps
 }

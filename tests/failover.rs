@@ -112,13 +112,12 @@ fn session_hands_off_automatically_when_the_primary_dies_mid_run() {
 
 #[test]
 fn scenario_fails_over_during_presend_and_reports_the_serving_server() {
-    let clean = run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck)).unwrap();
+    let clean = run_scenario(&SessionConfig::tiny(), Strategy::OffloadAfterAck).unwrap();
     let dead = FaultPlan::none()
         .down(Duration::ZERO, secs(3600.0))
         .unwrap();
     let report = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
+        &SessionConfig::tiny_builder()
             .servers(vec![
                 tiny_spec("edge-a").with_faults(dead),
                 tiny_spec("edge-b"),
@@ -129,6 +128,7 @@ fn scenario_fails_over_during_presend_and_reports_the_serving_server() {
                 ..RetryPolicy::default()
             })
             .build(),
+        Strategy::OffloadAfterAck,
     )
     .unwrap();
     assert_eq!(report.result, clean.result);
@@ -140,7 +140,7 @@ fn scenario_fails_over_during_presend_and_reports_the_serving_server() {
 
 #[test]
 fn scenario_hands_off_mid_migration_and_resends_the_full_snapshot() {
-    let clean = run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck)).unwrap();
+    let clean = run_scenario(&SessionConfig::tiny(), Strategy::OffloadAfterAck).unwrap();
     // Kill the primary's uplink while the snapshot is on the wire; the
     // pre-send (which happens earlier) is untouched.
     let starts = uplink_transfer_starts(&clean.trace);
@@ -149,8 +149,7 @@ fn scenario_hands_off_mid_migration_and_resends_the_full_snapshot() {
         .down(snap_up - secs(0.001), snap_up + secs(3600.0))
         .unwrap();
     let report = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
+        &SessionConfig::tiny_builder()
             .servers(vec![
                 tiny_spec("edge-a").with_up_faults(outage),
                 tiny_spec("edge-b"),
@@ -160,6 +159,7 @@ fn scenario_hands_off_mid_migration_and_resends_the_full_snapshot() {
                 ..RetryPolicy::default()
             })
             .build(),
+        Strategy::OffloadAfterAck,
     )
     .unwrap();
     assert_eq!(report.result, clean.result);
@@ -174,13 +174,12 @@ fn scenario_hands_off_mid_migration_and_resends_the_full_snapshot() {
 
 #[test]
 fn a_fully_dead_fleet_falls_back_locally() {
-    let clean = run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck)).unwrap();
+    let clean = run_scenario(&SessionConfig::tiny(), Strategy::OffloadAfterAck).unwrap();
     let dead = FaultPlan::none()
         .down(Duration::ZERO, secs(3600.0))
         .unwrap();
     let report = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
+        &SessionConfig::tiny_builder()
             .servers(vec![
                 tiny_spec("edge-a").with_faults(dead.clone()),
                 tiny_spec("edge-b").with_faults(dead),
@@ -191,6 +190,7 @@ fn a_fully_dead_fleet_falls_back_locally() {
                 ..RetryPolicy::default()
             })
             .build(),
+        Strategy::OffloadAfterAck,
     )
     .unwrap();
     assert!(report.fell_back, "no candidate was reachable");

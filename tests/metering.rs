@@ -53,14 +53,13 @@ fn generous() -> MeterLimits {
 fn meter_off_is_bit_identical_across_the_chaos_seed_matrix() {
     for strategy in [Strategy::OffloadAfterAck, Strategy::OffloadBeforeAck] {
         for seed in [1u64, 2, 3, 5, 8] {
-            let cfg = ScenarioConfig::tiny_builder()
-                .strategy(strategy.clone())
+            let cfg = SessionConfig::tiny_builder()
                 .faults(FaultPlan::chaos(seed, secs(1.0)))
                 .retry(RetryPolicy::default())
                 .build();
             assert!(cfg.meter.is_none(), "metering must default off");
-            let a = run_scenario(&cfg).unwrap();
-            let b = run_scenario(&cfg).unwrap();
+            let a = run_scenario(&cfg, strategy).unwrap();
+            let b = run_scenario(&cfg, strategy).unwrap();
             assert_eq!(a.total, b.total, "seed {seed} is not reproducible");
             assert_eq!(a.result, b.result);
             assert_eq!(
@@ -88,12 +87,10 @@ fn meter_off_session_reports_zero_usage() {
 
 #[test]
 fn generous_caps_change_no_timestamp_but_are_observable() {
-    let clean = run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck)).unwrap();
+    let clean = run_scenario(&SessionConfig::tiny(), Strategy::OffloadAfterAck).unwrap();
     let metered = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
-            .meter(generous())
-            .build(),
+        &SessionConfig::tiny_builder().meter(generous()).build(),
+        Strategy::OffloadAfterAck,
     )
     .unwrap();
     assert_eq!(metered.result, clean.result);
@@ -171,16 +168,16 @@ fn ops_exhaustion_fails_over_without_burning_retries() {
 
 #[test]
 fn slice_kill_mid_compute_fails_over_in_a_scenario() {
-    let clean = run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck)).unwrap();
+    let clean = run_scenario(&SessionConfig::tiny(), Strategy::OffloadAfterAck).unwrap();
     let report = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
+        &SessionConfig::tiny_builder()
             .servers(vec![
                 tiny_spec("edge-a")
                     .with_meter(MeterLimits::default().with_time_slice(secs(0.000001))),
                 tiny_spec("edge-b"),
             ])
             .build(),
+        Strategy::OffloadAfterAck,
     )
     .unwrap();
     assert_eq!(report.result, clean.result);
@@ -222,14 +219,14 @@ fn fleet_wide_meter_is_overridden_per_server() {
     // The override must win on the primary only, so the round fails over
     // to the secondary, which inherits the generous fleet-wide limits.
     let report = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
+        &SessionConfig::tiny_builder()
             .meter(generous())
             .servers(vec![
                 tiny_spec("edge-a").with_meter(MeterLimits::default().with_ops(1)),
                 tiny_spec("edge-b"),
             ])
             .build(),
+        Strategy::OffloadAfterAck,
     )
     .unwrap();
     assert_eq!(report.server.as_deref(), Some("edge-b"));

@@ -7,7 +7,15 @@ use snapedge_dnn::ModelBundle;
 use snapedge_vmsynth::SynthesisConfig;
 
 fn total_secs(model: &str, strategy: Strategy) -> f64 {
-    run_scenario(&ScenarioConfig::paper(model, strategy))
+    run_scenario(&SessionConfig::paper(model), strategy)
+        .unwrap()
+        .total
+        .as_secs_f64()
+}
+
+fn partial_secs(model: &str, cut: &str) -> f64 {
+    let cfg = SessionConfig::paper_builder(model).cut(cut).build();
+    run_scenario(&cfg, Strategy::Partial)
         .unwrap()
         .total
         .as_secs_f64()
@@ -64,12 +72,7 @@ fn fig6_before_ack_crossover_matches_the_paper() {
 fn fig6_partial_inference_costs_more_than_full_offloading() {
     for model in ["googlenet", "agenet", "gendernet"] {
         let full = total_secs(model, Strategy::OffloadAfterAck);
-        let partial = total_secs(
-            model,
-            Strategy::Partial {
-                cut: "1st_pool".into(),
-            },
-        );
+        let partial = partial_secs(model, "1st_pool");
         assert!(
             partial > full,
             "{model}: privacy has a cost ({partial} vs {full})"
@@ -82,7 +85,7 @@ fn fig6_partial_inference_costs_more_than_full_offloading() {
 #[test]
 fn fig7_snapshot_overhead_is_negligible_vs_dnn_execution() {
     for model in ["googlenet", "agenet", "gendernet"] {
-        let r = run_scenario(&ScenarioConfig::paper(model, Strategy::OffloadAfterAck)).unwrap();
+        let r = run_scenario(&SessionConfig::paper(model), Strategy::OffloadAfterAck).unwrap();
         let b = r.breakdown;
         let snapshot_overhead =
             b.capture_client + b.restore_server + b.capture_server + b.restore_client;
@@ -97,7 +100,7 @@ fn fig7_snapshot_overhead_is_negligible_vs_dnn_execution() {
 #[test]
 fn fig7_before_ack_is_dominated_by_uplink_transmission() {
     for model in ["agenet", "gendernet"] {
-        let r = run_scenario(&ScenarioConfig::paper(model, Strategy::OffloadBeforeAck)).unwrap();
+        let r = run_scenario(&SessionConfig::paper(model), Strategy::OffloadBeforeAck).unwrap();
         let b = r.breakdown;
         assert!(
             b.transfer_up.as_secs_f64() > r.total.as_secs_f64() * 0.5,
@@ -111,7 +114,7 @@ fn fig7_before_ack_is_dominated_by_uplink_transmission() {
 #[test]
 fn fig7_server_execution_dominates_after_ack() {
     for model in ["googlenet", "agenet", "gendernet"] {
-        let r = run_scenario(&ScenarioConfig::paper(model, Strategy::OffloadAfterAck)).unwrap();
+        let r = run_scenario(&SessionConfig::paper(model), Strategy::OffloadAfterAck).unwrap();
         assert!(
             r.breakdown.exec_server.as_secs_f64() > r.total.as_secs_f64() * 0.5,
             "{model}"
@@ -127,8 +130,8 @@ fn fig8_pool_cuts_beat_the_preceding_conv_cuts() {
     // moves from a conv layer to a pool layer".
     for model in ["googlenet", "agenet", "gendernet"] {
         for (conv, pool) in [("1st_conv", "1st_pool"), ("2nd_conv", "2nd_pool")] {
-            let conv_t = total_secs(model, Strategy::Partial { cut: conv.into() });
-            let pool_t = total_secs(model, Strategy::Partial { cut: pool.into() });
+            let conv_t = partial_secs(model, conv);
+            let pool_t = partial_secs(model, pool);
             assert!(
                 pool_t < conv_t,
                 "{model}: {pool} ({pool_t}) must beat {conv} ({conv_t})"
@@ -141,19 +144,19 @@ fn fig8_pool_cuts_beat_the_preceding_conv_cuts() {
 fn fig8_feature_sizes_match_the_papers_measurements() {
     // "the size of feature data is 14.7MB in 1st_conv while it is 2.9MB
     // in 1st_pool" (GoogLeNet). Measured from the actual snapshot bytes.
-    let conv = run_scenario(&ScenarioConfig::paper(
-        "googlenet",
-        Strategy::Partial {
-            cut: "1st_conv".into(),
-        },
-    ))
+    let conv = run_scenario(
+        &SessionConfig::paper_builder("googlenet")
+            .cut("1st_conv")
+            .build(),
+        Strategy::Partial,
+    )
     .unwrap();
-    let pool = run_scenario(&ScenarioConfig::paper(
-        "googlenet",
-        Strategy::Partial {
-            cut: "1st_pool".into(),
-        },
-    ))
+    let pool = run_scenario(
+        &SessionConfig::paper_builder("googlenet")
+            .cut("1st_pool")
+            .build(),
+        Strategy::Partial,
+    )
     .unwrap();
     let conv_mb = conv.snapshot_up_bytes as f64 / (1024.0 * 1024.0);
     let pool_mb = pool.snapshot_up_bytes as f64 / (1024.0 * 1024.0);
@@ -176,7 +179,7 @@ fn fig8_input_cut_is_fastest_overall() {
     for model in ["googlenet", "agenet"] {
         let input = total_secs(model, Strategy::OffloadAfterAck);
         for cut in zoo::fig8_cuts(model).into_iter().skip(1) {
-            let t = total_secs(model, Strategy::Partial { cut: cut.into() });
+            let t = partial_secs(model, cut);
             assert!(t > input, "{model}: cut {cut} ({t}s) vs input ({input}s)");
         }
     }
@@ -219,7 +222,7 @@ fn table1_migration_without_presending_matches_the_paper() {
     // on a 30 Mbps link. Migration = total minus server execution.
     let cases = [("googlenet", 7.79), ("agenet", 12.07), ("gendernet", 12.07)];
     for (model, paper_s) in cases {
-        let r = run_scenario(&ScenarioConfig::paper(model, Strategy::OffloadBeforeAck)).unwrap();
+        let r = run_scenario(&SessionConfig::paper(model), Strategy::OffloadBeforeAck).unwrap();
         let migration = (r.total - r.breakdown.exec_server).as_secs_f64();
         assert!(
             (migration - paper_s).abs() / paper_s < 0.15,
@@ -232,7 +235,7 @@ fn table1_migration_without_presending_matches_the_paper() {
 fn table1_presending_makes_migration_sub_second() {
     // Paper: 0.60 / 0.34 / 0.34 s.
     for model in ["googlenet", "agenet", "gendernet"] {
-        let r = run_scenario(&ScenarioConfig::paper(model, Strategy::OffloadAfterAck)).unwrap();
+        let r = run_scenario(&SessionConfig::paper(model), Strategy::OffloadAfterAck).unwrap();
         let migration = (r.total - r.breakdown.exec_server).as_secs_f64();
         assert!(
             migration < 1.0,
@@ -255,7 +258,7 @@ fn table1_synthesis_costs_more_than_first_offload_without_presending() {
         )
         .unwrap()
         .total();
-        let r = run_scenario(&ScenarioConfig::paper(model, Strategy::OffloadBeforeAck)).unwrap();
+        let r = run_scenario(&SessionConfig::paper(model), Strategy::OffloadBeforeAck).unwrap();
         let migration = r.total - r.breakdown.exec_server;
         assert!(synth > migration, "{model}");
     }

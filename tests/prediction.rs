@@ -176,10 +176,11 @@ fn scenario_with_degraded_presend_goes_proactively_local() {
         .corrupt(Duration::ZERO, secs(20.0))
         .unwrap();
     let probe = run_scenario(
-        &ScenarioConfig::paper_builder("googlenet")
+        &SessionConfig::paper_builder("googlenet")
             .up_faults(presend_corrupt.clone())
             .retry(policy.clone())
             .build(),
+        Strategy::OffloadAfterAck,
     )
     .unwrap();
     assert!(probe.retry_count() > 0, "the pre-send must have struggled");
@@ -194,11 +195,12 @@ fn scenario_with_degraded_presend_goes_proactively_local() {
         .unwrap();
     let run = |predict: bool| {
         run_scenario(
-            &ScenarioConfig::paper_builder("googlenet")
+            &SessionConfig::paper_builder("googlenet")
                 .up_faults(plan.clone())
                 .retry(policy.clone())
                 .predict(predict)
                 .build(),
+            Strategy::OffloadAfterAck,
         )
         .unwrap()
     };

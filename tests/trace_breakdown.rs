@@ -6,9 +6,9 @@
 use snapedge_core::prelude::*;
 use std::time::Duration;
 
-fn tiny_report() -> (ScenarioConfig, ScenarioReport) {
-    let cfg = ScenarioConfig::tiny(Strategy::OffloadAfterAck);
-    let report = run_scenario(&cfg).unwrap();
+fn tiny_report() -> (SessionConfig, ScenarioReport) {
+    let cfg = SessionConfig::tiny();
+    let report = run_scenario(&cfg, Strategy::OffloadAfterAck).unwrap();
     (cfg, report)
 }
 
