@@ -53,6 +53,14 @@ meter_smoke=$(cargo run --offline --release -p snapedge-cli --bin snapedge -- ru
     --model tiny_cnn --servers "edge-a,meter=ops=1;edge-b")
 grep -q "edge-b" <<<"$meter_smoke"
 
+echo "== CLI strictness smoke (a misspelled flag is rejected, --help exits 0)"
+if typo=$(cargo run --offline --release -p snapedge-cli --bin snapedge -- fleet --clinets 5 2>&1); then
+    echo "snapedge fleet --clinets 5 succeeded; unknown flags must be rejected" >&2
+    exit 1
+fi
+grep -q "clinets" <<<"$typo"
+cargo run --offline --release -p snapedge-cli --bin snapedge -- --help >/dev/null
+
 echo "== fleet scale smoke (10k clients under a wall-clock budget)"
 cargo run --offline --release -p snapedge-bench --bin fleet_scale
 

@@ -38,12 +38,12 @@
 //! drives real [`OffloadSession`]s (real browsers, snapshots, deltas,
 //! faults, failover — bit-identical to the legacy loop for one client)
 //! and [`ModeledWorkload`] uses the calibrated analytic timings so 10k+
-//! clients simulate in milliseconds. Both accept any config convertible
-//! into a [`SessionConfig`] — including a bare
-//! [`OffloadConfig`](crate::OffloadConfig).
+//! clients simulate in milliseconds. Both are built from one
+//! [`SessionConfig`].
 
 use crate::balance::{jain, Balancer, DrrScheduler, DEFAULT_DRR_QUANTUM};
-use crate::session::{OffloadSession, RoundReport, RoundStep, SessionConfig};
+use crate::session::{OffloadSession, RoundReport, RoundStep};
+use crate::session_config::SessionConfig;
 use crate::OffloadError;
 use snapedge_dnn::zoo;
 use snapedge_net::EventQueue;
@@ -272,19 +272,13 @@ pub struct SessionWorkload {
 }
 
 impl SessionWorkload {
-    /// Builds `clients` sessions from one config (anything convertible
-    /// into a [`SessionConfig`], including a bare
-    /// [`OffloadConfig`](crate::OffloadConfig)).
+    /// Builds `clients` sessions from one config.
     ///
     /// # Errors
     ///
     /// Propagates session construction failures (unknown model, empty
     /// fleet, unreachable servers).
-    pub fn new(
-        cfg: impl Into<SessionConfig>,
-        clients: usize,
-    ) -> Result<SessionWorkload, OffloadError> {
-        let cfg: SessionConfig = cfg.into();
+    pub fn new(cfg: SessionConfig, clients: usize) -> Result<SessionWorkload, OffloadError> {
         let mut sessions = Vec::with_capacity(clients);
         for client in 0..clients {
             let mut per_client = cfg.clone();
@@ -436,17 +430,12 @@ pub struct ModeledWorkload {
 }
 
 impl ModeledWorkload {
-    /// Derives analytic timings for `clients` clients from one config
-    /// (anything convertible into a [`SessionConfig`]).
+    /// Derives analytic timings for `clients` clients from one config.
     ///
     /// # Errors
     ///
     /// Returns [`OffloadError`] for unknown models or an empty fleet.
-    pub fn new(
-        cfg: impl Into<SessionConfig>,
-        clients: usize,
-    ) -> Result<ModeledWorkload, OffloadError> {
-        let cfg: SessionConfig = cfg.into();
+    pub fn new(cfg: SessionConfig, clients: usize) -> Result<ModeledWorkload, OffloadError> {
         if cfg.servers.is_empty() {
             return Err(OffloadError::Config(
                 "modeled workload needs at least one edge server in its fleet".into(),
@@ -723,10 +712,9 @@ impl Engine<SessionWorkload> {
     ///
     /// Propagates session construction failures.
     pub fn sessions(
-        cfg: impl Into<SessionConfig>,
+        cfg: SessionConfig,
         clients: usize,
     ) -> Result<Engine<SessionWorkload>, OffloadError> {
-        let cfg: SessionConfig = cfg.into();
         let names = cfg.servers.iter().map(|s| s.name.clone()).collect();
         let seed = cfg.seed;
         let (balance, fair, window) = (cfg.balance, cfg.fair_share, cfg.batch_window);
@@ -747,10 +735,9 @@ impl Engine<ModeledWorkload> {
     ///
     /// Returns [`OffloadError`] for unknown models or an empty fleet.
     pub fn modeled(
-        cfg: impl Into<SessionConfig>,
+        cfg: SessionConfig,
         clients: usize,
     ) -> Result<Engine<ModeledWorkload>, OffloadError> {
-        let cfg: SessionConfig = cfg.into();
         let names = cfg.servers.iter().map(|s| s.name.clone()).collect();
         let seed = cfg.seed;
         let (balance, fair, window) = (cfg.balance, cfg.fair_share, cfg.batch_window);

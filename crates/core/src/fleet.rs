@@ -40,7 +40,7 @@ pub struct ServerSpec {
     pub down_faults: FaultPlan,
     /// Per-tenant resource caps enforced while this server executes a
     /// restored snapshot. `Some` overrides the fleet-wide
-    /// [`OffloadConfig::meter`](crate::OffloadConfig) default; `None`
+    /// [`SessionConfig::meter`](crate::SessionConfig::meter) default; `None`
     /// inherits it (which may itself be unmetered).
     pub meter: Option<MeterLimits>,
 }

@@ -17,7 +17,7 @@
 //!
 //! | concern | module |
 //! |---|---|
-//! | shared offloading config core + builder | [`config`] |
+//! | the one offload config + builder | [`SessionConfig`] |
 //! | megascale event-queue fleet engine (concurrent clients) | [`engine`] |
 //! | client/server device latency models (Odroid-XU4 vs x86) | [`device`] |
 //! | the Caffe.js `model` host object apps call | [`mlhost`] |
@@ -52,7 +52,6 @@
 pub mod adaptive;
 pub mod apps;
 pub mod balance;
-pub mod config;
 pub mod device;
 mod endpoint;
 pub mod energy;
@@ -67,11 +66,11 @@ pub mod privacy;
 pub mod resilience;
 mod scenario;
 mod session;
+mod session_config;
 pub mod timeline;
 
 pub use adaptive::{AdaptiveOffloader, AdaptivePolicy, Decision, Plan};
 pub use balance::{jain, Balancer, DrrScheduler, DEFAULT_DRR_QUANTUM};
-pub use config::{ConfigBuilder, OffloadConfig};
 pub use device::{edge_server_x86, odroid_xu4, DeviceProfile};
 pub use endpoint::Endpoint;
 pub use energy::{client_energy, odroid_xu4_energy, EnergyProfile, EnergyReport};
@@ -90,7 +89,8 @@ pub use resilience::{
     RetryPolicy,
 };
 pub use scenario::{run_scenario, Breakdown, ScenarioReport, Strategy};
-pub use session::{OffloadSession, RoundReport, SessionBuilder, SessionConfig};
+pub use session::{OffloadSession, RoundReport};
+pub use session_config::{SessionBuilder, SessionConfig};
 pub use snapedge_analyze::{
     AnalyzeError, CostBound, Effect, EffectCache, EffectOptions, EffectSummary,
 };

@@ -16,7 +16,6 @@
 //! types), so examples and tests need a single `use`.
 
 pub use crate::balance::{jain, Balancer, DrrScheduler, DEFAULT_DRR_QUANTUM};
-pub use crate::config::{ConfigBuilder, OffloadConfig};
 pub use crate::device::{edge_server_x86, odroid_xu4, DeviceProfile};
 pub use crate::engine::{
     round_image_seed, ArrivalProcess, Engine, FleetReport, ModeledWorkload, RoundOutcome,
@@ -27,7 +26,8 @@ pub use crate::fleet::{format_servers, parse_servers, ServerHealth, ServerPool, 
 pub use crate::install::{vm_install, InstallReport};
 pub use crate::resilience::{classify, FaultClass, ResilienceOutcome, RetryPolicy};
 pub use crate::scenario::{run_scenario, Breakdown, ScenarioReport, Strategy};
-pub use crate::session::{OffloadSession, RoundReport, SessionBuilder, SessionConfig};
+pub use crate::session::{OffloadSession, RoundReport};
+pub use crate::session_config::{SessionBuilder, SessionConfig};
 pub use crate::timeline;
 pub use snapedge_analyze::{AnalyzeError, EffectCache, EffectOptions, EffectSummary};
 pub use snapedge_dnn::{zoo, ExecMode};

@@ -15,7 +15,8 @@
 use crate::adaptive::Decision;
 use crate::apps;
 use crate::endpoint::Endpoint;
-use crate::session::{OffloadSession, SessionConfig, LOCAL};
+use crate::session::{OffloadSession, LOCAL};
+use crate::session_config::SessionConfig;
 use crate::OffloadError;
 use snapedge_dnn::{zoo, ExecMode, ParamStore};
 use snapedge_net::SimClock;

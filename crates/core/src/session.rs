@@ -26,133 +26,16 @@
 
 use crate::adaptive::{AdaptiveOffloader, AdaptivePolicy, Decision, Plan};
 use crate::apps;
-use crate::config::{ConfigBuilder, OffloadConfig};
 use crate::endpoint::Endpoint;
 use crate::fleet::{ServerPool, ServerSpec};
 use crate::resilience::{classify, schedule_resilient_traced, FaultClass};
+use crate::session_config::SessionConfig;
 use crate::OffloadError;
 use snapedge_dnn::{zoo, ExecMode, ModelBundle, Network, NodeId, ParamStore};
 use snapedge_net::{Link, NetError, SimClock};
 use snapedge_trace::{EventKind, Lane, Trace, Tracer};
 use snapedge_webapp::{DeltaCapture, RunOutcome, StateBase, WebError};
 use std::time::Duration;
-
-/// Configuration of every offload run — a multi-inference session, a
-/// one-shot scenario ([`crate::run_scenario`]) or a fleet-engine client:
-/// the shared [`OffloadConfig`] core (model, edge **fleet**, client
-/// device, seeds, resilience/prediction knobs — see [`crate::config`])
-/// plus the cut, delta and compression knobs. Derefs to
-/// [`OffloadConfig`], so every core field reads and writes as a direct
-/// field (`cfg.seed`, `cfg.servers.push(..)`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionConfig {
-    /// The shared offloading core (fleet, devices, seeds, retry,
-    /// predict). Usually accessed through `Deref` rather than by name.
-    pub core: OffloadConfig,
-    /// Partial-inference cut label, or `None` for full offloading.
-    /// Scenarios consult it only under [`crate::Strategy::Partial`].
-    pub cut: Option<String>,
-    /// Use delta snapshots after the first offload (the future-work
-    /// optimization); `false` sends a full snapshot every time.
-    pub use_deltas: bool,
-    /// Compress every migrated snapshot or delta (LZ77+Huffman) before
-    /// transmission, paying codec CPU time on both sides — an extension
-    /// the paper does not evaluate (see the `compression` bench).
-    pub compress: bool,
-}
-
-impl std::ops::Deref for SessionConfig {
-    type Target = OffloadConfig;
-    fn deref(&self) -> &OffloadConfig {
-        &self.core
-    }
-}
-
-impl std::ops::DerefMut for SessionConfig {
-    fn deref_mut(&mut self) -> &mut OffloadConfig {
-        &mut self.core
-    }
-}
-
-impl From<OffloadConfig> for SessionConfig {
-    /// Wraps a bare core with the session defaults (full offloading,
-    /// deltas on, no compression) — this is what lets the fleet engine
-    /// accept a bare core.
-    fn from(core: OffloadConfig) -> SessionConfig {
-        SessionConfig {
-            core,
-            cut: None,
-            use_deltas: true,
-            compress: false,
-        }
-    }
-}
-
-impl SessionConfig {
-    /// Builder seeded with the paper's configuration: 30 Mbps link,
-    /// Odroid-XU4 client, one x86 edge server, synthetic execution
-    /// (shape-faithful), a ~35 KB encoded image.
-    ///
-    /// ```
-    /// use snapedge_core::SessionConfig;
-    ///
-    /// let cfg = SessionConfig::paper_builder("agenet")
-    ///     .use_deltas(false)
-    ///     .build();
-    /// assert!(!cfg.use_deltas);
-    /// ```
-    pub fn paper_builder(model: &str) -> SessionBuilder {
-        SessionBuilder {
-            cfg: SessionConfig::from(OffloadConfig::paper(model, "edge-server-1")),
-        }
-    }
-
-    /// Builder seeded with the tiny real-arithmetic test configuration.
-    pub fn tiny_builder() -> SessionBuilder {
-        SessionBuilder {
-            cfg: SessionConfig::from(OffloadConfig::tiny("edge-server-1")),
-        }
-    }
-
-    /// Paper-scale configuration (shorthand for
-    /// [`SessionConfig::paper_builder`]).
-    pub fn paper(model: &str) -> SessionConfig {
-        Self::paper_builder(model).build()
-    }
-
-    /// Tiny real-arithmetic configuration for tests (shorthand for
-    /// [`SessionConfig::tiny_builder`]).
-    pub fn tiny() -> SessionConfig {
-        Self::tiny_builder().build()
-    }
-}
-
-/// Builder for [`SessionConfig`] — start from
-/// [`SessionConfig::paper_builder`] or [`SessionConfig::tiny_builder`].
-/// The fleet/device/resilience setters are the shared
-/// [`ConfigBuilder`] surface; only `cut`, `use_deltas` and `compress`
-/// live here.
-pub type SessionBuilder = ConfigBuilder<SessionConfig>;
-
-impl ConfigBuilder<SessionConfig> {
-    /// Partial-inference cut label (`None` means full offloading).
-    pub fn cut(mut self, cut: &str) -> SessionBuilder {
-        self.cfg.cut = Some(cut.to_string());
-        self
-    }
-
-    /// Whether to use delta snapshots after the first offload.
-    pub fn use_deltas(mut self, on: bool) -> SessionBuilder {
-        self.cfg.use_deltas = on;
-        self
-    }
-
-    /// Compress migrated snapshots and deltas before transmission.
-    pub fn compress(mut self, on: bool) -> SessionBuilder {
-        self.cfg.compress = on;
-        self
-    }
-}
 
 /// Report for one inference round of a session.
 #[derive(Debug, Clone, PartialEq)]

@@ -115,7 +115,7 @@ const HOT_PATH_OPT_OUT: [&str; 6] = [
     "crates/core/src/apps.rs",
     // Config assembly; its documented panics are builder-misuse
     // assertions that fire before any offload starts.
-    "crates/core/src/config.rs",
+    "crates/core/src/session_config.rs",
 ];
 
 /// `true` when `rel` is on the derived hot path.

@@ -17,6 +17,9 @@ pub enum NetError {
     /// A fault-injection plan was malformed (backwards window, overlap,
     /// bad degradation factor, unparseable spec).
     BadFaultPlan(String),
+    /// A transfer would finish past the largest representable virtual
+    /// instant (a vanishingly small but positive rate).
+    TimeOverflow,
 }
 
 impl fmt::Display for NetError {
@@ -26,6 +29,7 @@ impl fmt::Display for NetError {
             NetError::ZeroBandwidth => write!(f, "link has zero bandwidth"),
             NetError::Corrupt(msg) => write!(f, "corrupt payload: {msg}"),
             NetError::BadFaultPlan(msg) => write!(f, "invalid fault plan: {msg}"),
+            NetError::TimeOverflow => write!(f, "transfer time overflows the virtual clock"),
         }
     }
 }
@@ -96,17 +100,28 @@ impl LinkConfig {
     /// # Errors
     ///
     /// Returns [`NetError::ZeroBandwidth`] when the effective bandwidth is
-    /// not a positive finite rate (zero/negative/NaN configured bandwidth)
-    /// — the division would otherwise produce an infinite duration and
-    /// panic inside `Duration::from_secs_f64`.
+    /// not a positive finite rate (zero/negative/NaN configured bandwidth),
+    /// and [`NetError::TimeOverflow`] when the rate is so small that the
+    /// time does not fit in a [`Duration`].
     pub fn transfer_time(&self, bytes: u64) -> Result<Duration, NetError> {
         let bw = self.effective_bandwidth_bps();
         if !(bw.is_finite() && bw > 0.0) {
             return Err(NetError::ZeroBandwidth);
         }
         let bits = (bytes + self.overhead_bytes) as f64 * 8.0;
-        Ok(self.latency + Duration::from_secs_f64(bits / bw))
+        later(self.latency, secs(bits / bw)?)
     }
+}
+
+/// `seconds` as a [`Duration`], or [`NetError::TimeOverflow`] when it is
+/// too large to represent.
+fn secs(seconds: f64) -> Result<Duration, NetError> {
+    Duration::try_from_secs_f64(seconds).map_err(|_| NetError::TimeOverflow)
+}
+
+/// `t + d`, or [`NetError::TimeOverflow`] past the last virtual instant.
+fn later(t: Duration, d: Duration) -> Result<Duration, NetError> {
+    t.checked_add(d).ok_or(NetError::TimeOverflow)
 }
 
 /// A completed scheduling decision.
@@ -242,8 +257,9 @@ impl Link {
     /// # Errors
     ///
     /// Returns [`NetError::LinkDown`] when the link is failed (statically
-    /// or by the plan), or [`NetError::ZeroBandwidth`] for a non-positive
-    /// rate.
+    /// or by the plan), [`NetError::ZeroBandwidth`] for a non-positive
+    /// rate, or [`NetError::TimeOverflow`] when the transfer would finish
+    /// past the last representable instant.
     pub fn schedule(&mut self, now: Duration, bytes: u64) -> Result<Transfer, NetError> {
         if self.down {
             return Err(NetError::LinkDown);
@@ -267,7 +283,7 @@ impl Link {
         }
         let (finish, corrupted, stalls, degraded) = if self.faults.is_empty() {
             (
-                start + self.config.transfer_time(bytes)?,
+                later(start, self.config.transfer_time(bytes)?)?,
                 false,
                 vec![],
                 vec![],
@@ -344,7 +360,9 @@ impl Link {
     /// # Errors
     ///
     /// Returns [`NetError::BadFaultPlan`] for a plan whose stalled window
-    /// never ends (a transfer through it could never complete).
+    /// never ends (a transfer through it could never complete), or
+    /// [`NetError::TimeOverflow`] when a segment's time does not fit in a
+    /// [`Duration`].
     #[allow(clippy::type_complexity)]
     fn serialize_through_faults(
         &self,
@@ -388,16 +406,13 @@ impl Link {
             if let LinkState::Corrupting = state {
                 corrupted = true;
             }
-            let needed = Duration::from_secs_f64(remaining_bits / rate);
-            let seg_fits = match boundary {
-                Some(edge) => t + needed <= edge,
-                None => true,
-            };
-            if seg_fits {
+            let needed = secs(remaining_bits / rate)?;
+            let done = later(t, needed)?;
+            if boundary.is_none_or(|edge| done <= edge) {
                 if let LinkState::Degraded(_) = state {
-                    degraded.push((t, t + needed));
+                    degraded.push((t, done));
                 }
-                t += needed;
+                t = done;
                 break;
             }
             let Some(edge) = boundary else {
@@ -412,7 +427,7 @@ impl Link {
             }
             t = edge;
         }
-        Ok((t + self.config.latency, corrupted, stalls, degraded))
+        Ok((later(t, self.config.latency)?, corrupted, stalls, degraded))
     }
 
     /// When the link becomes idle.
@@ -587,6 +602,31 @@ mod tests {
             ..LinkConfig::wifi_30mbps()
         };
         assert_eq!(negative.transfer_time(1_000), Err(NetError::ZeroBandwidth));
+    }
+
+    #[test]
+    fn vanishing_bandwidth_overflows_to_an_error_instead_of_panicking() {
+        // Regression: 1e-30 Mbps used to panic inside
+        // Duration::from_secs_f64 on the idle path and the fault path.
+        let cfg = LinkConfig::mbps(1e-30);
+        assert_eq!(cfg.transfer_time(1_000), Err(NetError::TimeOverflow));
+        let mut idle = Link::new(cfg.clone());
+        assert_eq!(
+            idle.schedule(Duration::ZERO, 1_000),
+            Err(NetError::TimeOverflow)
+        );
+        let plan = FaultPlan::parse("degrade@1..2x0.5").unwrap();
+        let mut faulty = Link::new(cfg).with_fault_plan(plan);
+        assert_eq!(
+            faulty.schedule(Duration::ZERO, 1_000),
+            Err(NetError::TimeOverflow)
+        );
+        // A finite start plus a representable time past the last instant.
+        let mut late = Link::new(LinkConfig::mbps(1e-6));
+        assert_eq!(
+            late.schedule(Duration::MAX - Duration::from_secs(1), 1_000),
+            Err(NetError::TimeOverflow)
+        );
     }
 
     #[test]
