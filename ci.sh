@@ -15,6 +15,9 @@ echo "== cargo clippy (hot-path crates forbid unwrap outside tests)"
 cargo clippy --offline --no-deps -p snapedge-core -p snapedge-webapp --lib -- \
     -D warnings -D clippy::unwrap_used
 
+echo "== cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 

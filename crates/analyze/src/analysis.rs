@@ -1,62 +1,25 @@
-//! Scope resolution, def-use recording, reachability, and the
-//! snapshot-specific lints over a parsed MiniJS program.
-//!
-//! MiniJS scoping is deliberately simple (the paper's subset): functions
-//! have no closures, so a name inside a function resolves to the
-//! function's own params/`var` locals, then to globals, then to declared
-//! functions, then to the host surface. Assigning to a name that is not a
-//! local *creates a global* at runtime — the analyzer therefore treats
-//! every non-local assignment target as a global definition site
-//! (flow-insensitively), which is exactly how generated restore scripts
-//! re-establish app globals.
+//! Def-use recording, reachability, and the snapshot-specific lints over
+//! a parsed MiniJS program. Names resolve through the shared scope model
+//! ([`crate::scope`]).
 
 use crate::hostapi;
+use crate::scope::Scopes;
 use crate::{AnalysisOptions, AnalysisStats, Diagnostic, Mode, Rule, Severity};
-use snapedge_webapp::ast::{Expr, FunctionDef, Stmt};
+use snapedge_webapp::ast::{Expr, Stmt};
 use snapedge_webapp::is_reserved_machinery;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Where a read happened: top-level code or a named function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Ctx {
-    TopLevel,
-    Func(String),
-}
-
-/// One function's own scope: parameters plus hoisted `var` locals.
-#[derive(Debug, Default)]
-struct FuncScope {
-    params: BTreeSet<String>,
-    locals: BTreeSet<String>,
-}
-
-impl FuncScope {
-    fn contains(&self, name: &str) -> bool {
-        self.params.contains(name) || self.locals.contains(name)
-    }
-}
-
-/// All declarations visible at global scope.
-#[derive(Debug, Default)]
-struct Declarations {
-    /// Function name → its scope. Nested declarations register globally
-    /// when executed, so they are collected recursively. Built once per
-    /// verification, keyed by report-visible names.
-    /// lint: allow(string-keyed-map)
-    functions: BTreeMap<String, FuncScope>,
-    /// Global variables: top-level `var`s plus non-local assignment
-    /// targets anywhere.
-    globals: BTreeSet<String>,
-}
+/// Where a read happened: `None` for top-level code, else the name of
+/// the function whose body it is in.
+type Ctx<'a> = Option<&'a str>;
 
 pub(crate) struct Analysis<'a> {
     opts: &'a AnalysisOptions,
-    decls: Declarations,
-    hosts: BTreeSet<String>,
+    scopes: Scopes<'a>,
     ambient: BTreeSet<String>,
     /// Global name → contexts that read it.
     /// lint: allow(string-keyed-map)
-    reads: BTreeMap<String, Vec<Ctx>>,
+    reads: BTreeMap<String, Vec<Ctx<'a>>>,
     /// Function → functions it references.
     /// lint: allow(string-keyed-map)
     calls: BTreeMap<String, BTreeSet<String>>,
@@ -69,18 +32,12 @@ pub(crate) struct Analysis<'a> {
 
 impl<'a> Analysis<'a> {
     pub(crate) fn run(
-        program: &[Stmt],
+        program: &'a [Stmt],
         opts: &'a AnalysisOptions,
     ) -> (Vec<Diagnostic>, AnalysisStats) {
-        let mut hosts: BTreeSet<String> = hostapi::HOST_GLOBALS
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        hosts.extend(opts.hosts.iter().cloned());
         let mut a = Analysis {
             opts,
-            decls: Declarations::default(),
-            hosts,
+            scopes: Scopes::build(program, &opts.hosts),
             ambient: opts.ambient.iter().cloned().collect(),
             reads: BTreeMap::new(),
             calls: BTreeMap::new(),
@@ -88,98 +45,17 @@ impl<'a> Analysis<'a> {
             handlers: BTreeSet::new(),
             diagnostics: Vec::new(),
         };
-        a.collect_declarations(program);
-        a.collect_global_assign_targets(program, &Ctx::TopLevel);
         a.check_hygiene();
-        a.resolve_block(program, &Ctx::TopLevel);
+        a.resolve_block(program, None);
         let reachable = a.reachable_functions();
         a.check_dead_state(&reachable);
         let stats = AnalysisStats {
-            functions: a.decls.functions.len(),
-            globals: a.decls.globals.len(),
+            functions: a.scopes.functions.len(),
+            globals: a.scopes.globals.len(),
             handlers: a.handlers.len(),
             reachable_functions: reachable.len(),
         };
         (a.diagnostics, stats)
-    }
-
-    // ---- Pass 1: declarations. ----
-
-    fn collect_declarations(&mut self, stmts: &[Stmt]) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Var(name, _) => {
-                    // Top-level `var` (at any control-flow nesting depth —
-                    // `var` is function-scoped, and this is the top level).
-                    self.decls.globals.insert(name.to_string());
-                }
-                Stmt::Function(def) => self.collect_function(def),
-                Stmt::If(_, then, els) => {
-                    self.collect_declarations(then);
-                    self.collect_declarations(els);
-                }
-                Stmt::While(_, body) => self.collect_declarations(body),
-                Stmt::For {
-                    init, update, body, ..
-                } => {
-                    if let Some(s) = init {
-                        self.collect_declarations(std::slice::from_ref(s));
-                    }
-                    if let Some(s) = update {
-                        self.collect_declarations(std::slice::from_ref(s));
-                    }
-                    self.collect_declarations(body);
-                }
-                Stmt::Assign(..) | Stmt::Expr(_) | Stmt::Return(_) => {}
-            }
-        }
-    }
-
-    fn collect_function(&mut self, def: &FunctionDef) {
-        let mut scope = FuncScope::default();
-        scope
-            .params
-            .extend(def.params.iter().map(|p| p.to_string()));
-        collect_vars_shallow(&def.body, &mut scope.locals);
-        self.decls.functions.insert(def.name.to_string(), scope);
-        // Nested function declarations register globally when the
-        // enclosing function runs; collect them too.
-        collect_nested_functions(&def.body, self);
-    }
-
-    /// Pass 1b: non-local assignment targets create globals at runtime
-    /// (this is how `__snapedge_restore` re-establishes app state).
-    fn collect_global_assign_targets(&mut self, stmts: &[Stmt], ctx: &Ctx) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Assign(Expr::Ident(name), _)
-                    if !self.is_local(name, ctx) && !self.hosts.contains(name.as_str()) =>
-                {
-                    self.decls.globals.insert(name.to_string());
-                }
-                Stmt::Function(def) => {
-                    let ctx = Ctx::Func(def.name.to_string());
-                    self.collect_global_assign_targets(&def.body, &ctx);
-                }
-                Stmt::If(_, then, els) => {
-                    self.collect_global_assign_targets(then, ctx);
-                    self.collect_global_assign_targets(els, ctx);
-                }
-                Stmt::While(_, body) => self.collect_global_assign_targets(body, ctx),
-                Stmt::For {
-                    init, update, body, ..
-                } => {
-                    if let Some(s) = init {
-                        self.collect_global_assign_targets(std::slice::from_ref(s), ctx);
-                    }
-                    if let Some(s) = update {
-                        self.collect_global_assign_targets(std::slice::from_ref(s), ctx);
-                    }
-                    self.collect_global_assign_targets(body, ctx);
-                }
-                _ => {}
-            }
-        }
     }
 
     // ---- Hygiene: reserved-prefix names. ----
@@ -192,10 +68,10 @@ impl<'a> Analysis<'a> {
         // *app* must not declare the machinery names either — those
         // belong to generated snapshots.
         let declared: Vec<String> = self
-            .decls
+            .scopes
             .functions
             .keys()
-            .chain(self.decls.globals.iter())
+            .chain(self.scopes.globals.iter())
             .filter(|n| is_reserved_machinery(n))
             .cloned()
             .collect();
@@ -212,19 +88,7 @@ impl<'a> Analysis<'a> {
 
     // ---- Pass 2: resolve reads, record def-use, check host API. ----
 
-    fn is_local(&self, name: &str, ctx: &Ctx) -> bool {
-        match ctx {
-            Ctx::TopLevel => false,
-            Ctx::Func(f) => self
-                .decls
-                .functions
-                .get(f)
-                .map(|s| s.contains(name))
-                .unwrap_or(false),
-        }
-    }
-
-    fn resolve_block(&mut self, stmts: &[Stmt], ctx: &Ctx) {
+    fn resolve_block(&mut self, stmts: &'a [Stmt], ctx: Ctx<'a>) {
         for stmt in stmts {
             match stmt {
                 Stmt::Var(_, init) => {
@@ -252,8 +116,7 @@ impl<'a> Analysis<'a> {
                 }
                 Stmt::Expr(e) => self.resolve_expr(e, ctx),
                 Stmt::Function(def) => {
-                    let inner = Ctx::Func(def.name.to_string());
-                    self.resolve_block(&def.body, &inner);
+                    self.resolve_block(&def.body, Some(def.name.as_str()));
                 }
                 Stmt::Return(e) => {
                     if let Some(e) = e {
@@ -290,7 +153,7 @@ impl<'a> Analysis<'a> {
         }
     }
 
-    fn resolve_expr(&mut self, expr: &Expr, ctx: &Ctx) {
+    fn resolve_expr(&mut self, expr: &Expr, ctx: Ctx<'a>) {
         match expr {
             Expr::Ident(name) => self.resolve_read(name, ctx),
             Expr::Array(elems) => {
@@ -342,32 +205,29 @@ impl<'a> Analysis<'a> {
     /// globals, functions, hosts, then (delta mode) the agreed base's
     /// ambient declarations. Anything else is a free identifier — the
     /// snapshot is not self-contained.
-    fn resolve_read(&mut self, name: &str, ctx: &Ctx) {
-        if self.is_local(name, ctx) {
+    fn resolve_read(&mut self, name: &str, ctx: Ctx<'a>) {
+        if self.scopes.is_local(name, ctx) {
             return;
         }
-        if self.decls.globals.contains(name) {
-            self.reads
-                .entry(name.to_string())
-                .or_default()
-                .push(ctx.clone());
+        if self.scopes.globals.contains(name) {
+            self.reads.entry(name.to_string()).or_default().push(ctx);
             return;
         }
-        if self.decls.functions.contains_key(name) {
+        if self.scopes.functions.contains_key(name) {
             match ctx {
-                Ctx::TopLevel => {
+                None => {
                     self.toplevel_refs.insert(name.to_string());
                 }
-                Ctx::Func(f) => {
+                Some(f) => {
                     self.calls
-                        .entry(f.clone())
+                        .entry(f.to_string())
                         .or_default()
                         .insert(name.to_string());
                 }
             }
             return;
         }
-        if self.hosts.contains(name) || self.ambient.contains(name) {
+        if self.scopes.is_host(name) || self.ambient.contains(name) {
             return;
         }
         self.diagnostics.push(Diagnostic {
@@ -377,8 +237,8 @@ impl<'a> Analysis<'a> {
                 "free identifier {name:?}: not a local, global, declared function, \
                  or documented host API{}",
                 match ctx {
-                    Ctx::TopLevel => String::new(),
-                    Ctx::Func(f) => format!(" (in function {f:?})"),
+                    None => String::new(),
+                    Some(f) => format!(" (in function {f:?})"),
                 }
             ),
             name: Some(name.to_string()),
@@ -388,14 +248,11 @@ impl<'a> Analysis<'a> {
 
     /// Checks member access / method calls against the documented host
     /// API surface when the receiver's kind is statically known.
-    fn check_member(&mut self, obj: &Expr, prop: &str, call_args: Option<&[Expr]>, ctx: &Ctx) {
+    fn check_member(&mut self, obj: &Expr, prop: &str, call_args: Option<&[Expr]>, ctx: Ctx<'a>) {
         let is_call = call_args.is_some();
         // Receiver is a host global (unshadowed by a local or app global).
         if let Expr::Ident(name) = obj {
-            if self.is_local(name, ctx)
-                || self.decls.globals.contains(name.as_str())
-                || self.decls.functions.contains_key(name.as_str())
-            {
+            if self.scopes.is_shadowed(name, ctx) {
                 return; // shadowed: not the host object
             }
             let surface: Option<(&[&str], &[&str])> = match name.as_str() {
@@ -415,7 +272,7 @@ impl<'a> Analysis<'a> {
             return;
         }
         // Receiver is a statically recognizable DOM element handle.
-        if self.is_dom_expr(obj, ctx) {
+        if self.scopes.is_dom_expr(obj, ctx) {
             let table = if is_call {
                 hostapi::DOM_METHODS
             } else {
@@ -430,12 +287,9 @@ impl<'a> Analysis<'a> {
     /// Checks a member *assignment* target. Host globals have no
     /// assignable properties at all; DOM elements only accept
     /// `textContent`.
-    fn check_member_write(&mut self, obj: &Expr, prop: &str, ctx: &Ctx) {
+    fn check_member_write(&mut self, obj: &Expr, prop: &str, ctx: Ctx<'a>) {
         if let Expr::Ident(name) = obj {
-            let shadowed = self.is_local(name, ctx)
-                || self.decls.globals.contains(name.as_str())
-                || self.decls.functions.contains_key(name.as_str());
-            if !shadowed && self.hosts.contains(name.as_str()) {
+            if !self.scopes.is_shadowed(name, ctx) && self.scopes.is_host(name) {
                 self.diagnostics.push(Diagnostic {
                     rule: Rule::UnknownHostApi,
                     severity: Severity::Error,
@@ -446,7 +300,7 @@ impl<'a> Analysis<'a> {
             }
             return;
         }
-        if self.is_dom_expr(obj, ctx) && !hostapi::DOM_WRITABLE_PROPS.contains(&prop) {
+        if self.scopes.is_dom_expr(obj, ctx) && !hostapi::DOM_WRITABLE_PROPS.contains(&prop) {
             self.diagnostics.push(Diagnostic {
                 rule: Rule::UnknownHostApi,
                 severity: Severity::Error,
@@ -472,31 +326,6 @@ impl<'a> Analysis<'a> {
         });
     }
 
-    /// `true` when the expression definitely evaluates to a DOM element:
-    /// `document.getElementById(..)`, `document.createElement(..)`, or
-    /// `document.body` (with `document` unshadowed).
-    fn is_dom_expr(&self, expr: &Expr, ctx: &Ctx) -> bool {
-        let document_unshadowed = |name: &str| {
-            name == "document"
-                && !self.is_local(name, ctx)
-                && !self.decls.globals.contains(name)
-                && !self.decls.functions.contains_key(name)
-        };
-        match expr {
-            Expr::Call(callee, _) => match callee.as_ref() {
-                Expr::Member(obj, m) => {
-                    matches!(obj.as_ref(), Expr::Ident(n) if document_unshadowed(n))
-                        && (m == "getElementById" || m == "createElement")
-                }
-                _ => false,
-            },
-            Expr::Member(obj, p) => {
-                matches!(obj.as_ref(), Expr::Ident(n) if document_unshadowed(n)) && p == "body"
-            }
-            _ => false,
-        }
-    }
-
     // ---- Pass 3: reachability and dead state. ----
 
     /// Functions reachable from event handlers and top-level code, over
@@ -507,7 +336,7 @@ impl<'a> Analysis<'a> {
             .handlers
             .iter()
             .chain(self.toplevel_refs.iter())
-            .filter(|f| self.decls.functions.contains_key(*f))
+            .filter(|f| self.scopes.functions.contains_key(*f))
             .cloned()
             .collect();
         while let Some(f) = work.pop() {
@@ -536,15 +365,15 @@ impl<'a> Analysis<'a> {
             return;
         }
         let dead: Vec<String> = self
-            .decls
+            .scopes
             .globals
             .iter()
             .filter(|g| !is_reserved_machinery(g))
             .filter(|g| {
                 let live = self.reads.get(*g).map(|ctxs| {
                     ctxs.iter().any(|c| match c {
-                        Ctx::TopLevel => true,
-                        Ctx::Func(f) => reachable.contains(f),
+                        None => true,
+                        Some(f) => reachable.contains(*f),
                     })
                 });
                 !live.unwrap_or(false)
@@ -562,61 +391,6 @@ impl<'a> Analysis<'a> {
                 name: Some(name),
                 line: None,
             });
-        }
-    }
-}
-
-/// Hoisted `var` names of one function body: recurses through control
-/// flow but not into nested functions (those have their own scope).
-fn collect_vars_shallow(stmts: &[Stmt], out: &mut BTreeSet<String>) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Var(name, _) => {
-                out.insert(name.to_string());
-            }
-            Stmt::If(_, then, els) => {
-                collect_vars_shallow(then, out);
-                collect_vars_shallow(els, out);
-            }
-            Stmt::While(_, body) => collect_vars_shallow(body, out),
-            Stmt::For {
-                init, update, body, ..
-            } => {
-                if let Some(s) = init {
-                    collect_vars_shallow(std::slice::from_ref(s), out);
-                }
-                if let Some(s) = update {
-                    collect_vars_shallow(std::slice::from_ref(s), out);
-                }
-                collect_vars_shallow(body, out);
-            }
-            Stmt::Function(_) | Stmt::Assign(..) | Stmt::Expr(_) | Stmt::Return(_) => {}
-        }
-    }
-}
-
-/// Collects function declarations nested inside a function body.
-fn collect_nested_functions(stmts: &[Stmt], a: &mut Analysis<'_>) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Function(def) => a.collect_function(def),
-            Stmt::If(_, then, els) => {
-                collect_nested_functions(then, a);
-                collect_nested_functions(els, a);
-            }
-            Stmt::While(_, body) => collect_nested_functions(body, a),
-            Stmt::For {
-                init, update, body, ..
-            } => {
-                if let Some(s) = init {
-                    collect_nested_functions(std::slice::from_ref(s), a);
-                }
-                if let Some(s) = update {
-                    collect_nested_functions(std::slice::from_ref(s), a);
-                }
-                collect_nested_functions(body, a);
-            }
-            _ => {}
         }
     }
 }

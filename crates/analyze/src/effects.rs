@@ -39,8 +39,8 @@
 //! needs no handling here — delta capture's changed/unchanged heap
 //! intersection check already forces a full snapshot in that case.
 
-use crate::hostapi;
-use snapedge_webapp::ast::{Expr, FunctionDef, Stmt};
+use crate::scope::Scopes;
+use snapedge_webapp::ast::{walk_stmts, Expr, FunctionDef, Stmt};
 use snapedge_webapp::{html, parser, HostEffect, MeterLimits};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -386,105 +386,16 @@ pub fn effect_summary_html(
     effect_summary(&combined, opts)
 }
 
-/// Memoizes per-app effect summaries keyed by source + host surface, so
-/// long-lived sessions analyze each app once (FNV-1a, no external
-/// dependencies).
-#[derive(Debug, Default)]
-pub struct EffectCache {
-    map: BTreeMap<u64, Result<EffectSummary, AnalyzeError>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl EffectCache {
-    /// An empty cache.
-    pub fn new() -> EffectCache {
-        EffectCache::default()
-    }
-
-    /// Memoized [`effect_summary_html`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the cached or fresh [`AnalyzeError::Parse`].
-    pub fn summary_html(
-        &mut self,
-        html_src: &str,
-        opts: &EffectOptions,
-    ) -> Result<EffectSummary, AnalyzeError> {
-        let key = cache_key(html_src, opts);
-        if let Some(hit) = self.map.get(&key) {
-            self.hits += 1;
-            return hit.clone();
-        }
-        self.misses += 1;
-        let result = effect_summary_html(html_src, opts);
-        self.map.insert(key, result.clone());
-        result
-    }
-
-    /// Distinct (source, host surface) keys analyzed so far.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing has been analyzed yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
-fn cache_key(src: &str, opts: &EffectOptions) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    feed(src.as_bytes());
-    for (name, effect) in &opts.hosts {
-        feed(b"\0");
-        feed(name.as_bytes());
-        feed(b"=");
-        feed(effect.label().as_bytes());
-    }
-    h
-}
-
 // ---------------------------------------------------------------------------
 // The pass itself.
 // ---------------------------------------------------------------------------
 
-/// One function's own scope: parameters plus hoisted `var` locals
-/// (mirrors the interpreter's closure-free lookup).
-#[derive(Debug, Default)]
-struct FuncScope {
-    params: BTreeSet<String>,
-    locals: BTreeSet<String>,
-    /// Locals every initializer/assignment of which is a recognizable DOM
-    /// expression — member writes through them are replayable DOM edits,
-    /// not heap mutations.
-    dom_locals: BTreeSet<String>,
-}
-
-impl FuncScope {
-    fn contains(&self, name: &str) -> bool {
-        self.params.contains(name) || self.locals.contains(name)
-    }
-}
-
 struct EffectPass<'a> {
     opts: &'a EffectOptions,
-    // Built once per verification run. lint: allow(string-keyed-map)
-    functions: BTreeMap<String, FuncScope>,
-    globals: BTreeSet<String>,
-    builtin_hosts: BTreeSet<String>,
+    scopes: Scopes<'a>,
+    /// Function name → its DOM-holding locals ([`dom_locals`]).
+    /// lint: allow(string-keyed-map)
+    dom_locals: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// Methods on plain heap values that mutate their receiver (must stay in
@@ -493,20 +404,20 @@ struct EffectPass<'a> {
 const MUTATING_METHODS: &[&str] = &["push", "pop"];
 
 impl<'a> EffectPass<'a> {
-    fn run(program: &[Stmt], opts: &'a EffectOptions) -> EffectSummary {
-        let mut pass = EffectPass {
+    fn run(program: &'a [Stmt], opts: &'a EffectOptions) -> EffectSummary {
+        // Pass 1: declarations (the shared scope model) and each
+        // function's DOM-holding locals.
+        let scopes = Scopes::build(program, opts.hosts.keys());
+        let dom_locals = scopes
+            .defs
+            .iter()
+            .map(|def| (def.name.to_string(), dom_locals(&scopes, def)))
+            .collect();
+        let pass = EffectPass {
             opts,
-            functions: BTreeMap::new(),
-            globals: BTreeSet::new(),
-            builtin_hosts: hostapi::HOST_GLOBALS
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            scopes,
+            dom_locals,
         };
-        // Pass 1: declarations — function scopes, top-level `var`s, and
-        // runtime-created globals (non-local assignment targets).
-        pass.collect_declarations(program);
-        pass.collect_global_assign_targets(program, None);
 
         // Pass 2: per-function (and top-level) effect facts.
         // lint: allow(string-keyed-map)
@@ -517,8 +428,7 @@ impl<'a> EffectPass<'a> {
         let cost = body_cost(program, &mut |s| pass.stmt_flags(s, None)).bound;
         toplevel.cost = cost;
         functions.insert(TOPLEVEL.to_string(), toplevel);
-        let defs = collect_function_defs(program);
-        for def in &defs {
+        for def in &pass.scopes.defs {
             let mut fx = FnEffect::default();
             let ctx = Some(def.name.as_str());
             pass.scan_block(&def.body, ctx, &mut fx, &mut handlers);
@@ -563,116 +473,17 @@ impl<'a> EffectPass<'a> {
         }
     }
 
-    // ---- Pass 1: declarations (mirrors the verifier's scoping). ----
-
-    fn collect_declarations(&mut self, stmts: &[Stmt]) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Var(name, _) => {
-                    self.globals.insert(name.to_string());
-                }
-                Stmt::Function(def) => self.collect_function(def),
-                Stmt::If(_, then, els) => {
-                    self.collect_declarations(then);
-                    self.collect_declarations(els);
-                }
-                Stmt::While(_, body) => self.collect_declarations(body),
-                Stmt::For {
-                    init, update, body, ..
-                } => {
-                    if let Some(s) = init {
-                        self.collect_declarations(std::slice::from_ref(s));
-                    }
-                    if let Some(s) = update {
-                        self.collect_declarations(std::slice::from_ref(s));
-                    }
-                    self.collect_declarations(body);
-                }
-                Stmt::Assign(..) | Stmt::Expr(_) | Stmt::Return(_) => {}
-            }
-        }
-    }
-
-    fn collect_function(&mut self, def: &FunctionDef) {
-        let mut scope = FuncScope::default();
-        scope
-            .params
-            .extend(def.params.iter().map(|p| p.to_string()));
-        collect_vars_shallow(&def.body, &mut scope.locals);
-        scope.dom_locals = dom_locals(def, &scope);
-        self.functions.insert(def.name.to_string(), scope);
-        for nested in collect_function_defs(&def.body) {
-            self.collect_function(&nested);
-        }
-    }
-
-    fn collect_global_assign_targets(&mut self, stmts: &[Stmt], ctx: Option<&str>) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Assign(Expr::Ident(name), _)
-                    if !self.is_local(name, ctx) && !self.is_any_host(name) =>
-                {
-                    self.globals.insert(name.to_string());
-                }
-                Stmt::Function(def) => {
-                    self.collect_global_assign_targets(&def.body, Some(&def.name));
-                }
-                Stmt::If(_, then, els) => {
-                    self.collect_global_assign_targets(then, ctx);
-                    self.collect_global_assign_targets(els, ctx);
-                }
-                Stmt::While(_, body) => self.collect_global_assign_targets(body, ctx),
-                Stmt::For {
-                    init, update, body, ..
-                } => {
-                    if let Some(s) = init {
-                        self.collect_global_assign_targets(std::slice::from_ref(s), ctx);
-                    }
-                    if let Some(s) = update {
-                        self.collect_global_assign_targets(std::slice::from_ref(s), ctx);
-                    }
-                    self.collect_global_assign_targets(body, ctx);
-                }
-                _ => {}
-            }
-        }
-    }
-
     // ---- Name classification. ----
 
-    fn is_local(&self, name: &str, ctx: Option<&str>) -> bool {
-        match ctx {
-            None => false,
-            Some(f) => self
-                .functions
-                .get(f)
-                .map(|s| s.contains(name))
-                .unwrap_or(false),
-        }
-    }
-
     fn is_dom_local(&self, name: &str, ctx: Option<&str>) -> bool {
-        match ctx {
-            None => false,
-            Some(f) => self
-                .functions
-                .get(f)
-                .map(|s| s.dom_locals.contains(name))
-                .unwrap_or(false),
-        }
-    }
-
-    fn is_any_host(&self, name: &str) -> bool {
-        self.builtin_hosts.contains(name) || self.opts.hosts.contains_key(name)
+        ctx.and_then(|f| self.dom_locals.get(f))
+            .is_some_and(|locals| locals.contains(name))
     }
 
     /// The effect class of an *unshadowed* host identifier, or `None`
     /// when the name is not a host here.
     fn host_effect_of(&self, name: &str, ctx: Option<&str>) -> Option<HostEffect> {
-        if self.is_local(name, ctx)
-            || self.globals.contains(name)
-            || self.functions.contains_key(name)
-        {
+        if self.scopes.is_shadowed(name, ctx) {
             return None; // shadowed: an app binding, not the host
         }
         if let Some(&e) = self.opts.hosts.get(name) {
@@ -690,21 +501,9 @@ impl<'a> EffectPass<'a> {
     /// `true` when the expression definitely evaluates to a DOM element
     /// (including through a tracked DOM-holding local).
     fn is_dom_expr(&self, expr: &Expr, ctx: Option<&str>) -> bool {
-        let document_unshadowed =
-            |name: &str| name == "document" && self.host_effect_of(name, ctx).is_some();
         match expr {
             Expr::Ident(name) => self.is_dom_local(name, ctx),
-            Expr::Call(callee, _) => match callee.as_ref() {
-                Expr::Member(obj, m) => {
-                    matches!(obj.as_ref(), Expr::Ident(n) if document_unshadowed(n))
-                        && (m == "getElementById" || m == "createElement")
-                }
-                _ => false,
-            },
-            Expr::Member(obj, p) => {
-                matches!(obj.as_ref(), Expr::Ident(n) if document_unshadowed(n)) && p == "body"
-            }
-            _ => false,
+            _ => self.scopes.is_dom_expr(expr, ctx),
         }
     }
 
@@ -792,7 +591,7 @@ impl<'a> EffectPass<'a> {
     fn scan_write(&self, target: &Expr, ctx: Option<&str>, fx: &mut FnEffect) {
         match target {
             Expr::Ident(name) => {
-                if !self.is_local(name, ctx) && !self.is_any_host(name) {
+                if !self.scopes.is_local(name, ctx) && !self.scopes.is_host(name) {
                     fx.writes.insert(name.to_string());
                 }
             }
@@ -800,12 +599,13 @@ impl<'a> EffectPass<'a> {
                 // DOM writes (textContent) are replayable: the delta DOM
                 // diff carries them.
                 if self.is_dom_expr(obj, ctx) {
-                    self.touch_host(fx, "document", HostEffect::Dom, ctx);
+                    self.touch_host(fx, "document", HostEffect::Dom);
                     return;
                 }
                 match self.chain_base(target) {
                     Expr::Ident(base)
-                        if !self.is_local(base, ctx) && self.globals.contains(base.as_str()) =>
+                        if !self.scopes.is_local(base, ctx)
+                            && self.scopes.globals.contains(base.as_str()) =>
                     {
                         // Mutation of a heap region rooted at a global.
                         fx.writes.insert(base.to_string());
@@ -822,7 +622,7 @@ impl<'a> EffectPass<'a> {
         }
     }
 
-    fn touch_host(&self, fx: &mut FnEffect, host: &str, effect: HostEffect, _ctx: Option<&str>) {
+    fn touch_host(&self, fx: &mut FnEffect, host: &str, effect: HostEffect) {
         fx.hosts.insert(host.to_string());
         fx.host_tag = Some(match fx.host_tag {
             Some(prev) => prev.max(effect),
@@ -867,7 +667,7 @@ impl<'a> EffectPass<'a> {
             }
             Expr::NewFloat32Array(e) | Expr::Unary(_, e) => self.scan_expr(e, ctx, fx, handlers),
             Expr::Member(obj, prop) => {
-                self.scan_member(obj, prop, false, ctx, fx);
+                self.scan_member(obj, prop, ctx, fx);
                 self.scan_receiver(obj, ctx, fx, handlers);
             }
             Expr::Index(obj, idx) => {
@@ -876,7 +676,7 @@ impl<'a> EffectPass<'a> {
             }
             Expr::Call(callee, args) => {
                 if let Expr::Member(obj, method) = callee.as_ref() {
-                    self.scan_member(obj, method, true, ctx, fx);
+                    self.scan_member(obj, method, ctx, fx);
                     self.scan_method_mutation(obj, method, ctx, fx);
                     self.scan_receiver(obj, ctx, fx, handlers);
                     if method == "addEventListener" {
@@ -925,14 +725,14 @@ impl<'a> EffectPass<'a> {
 
     /// A bare identifier read, outside direct member-receiver position.
     fn scan_ident(&self, name: &str, ctx: Option<&str>, fx: &mut FnEffect) {
-        if self.is_local(name, ctx) {
+        if self.scopes.is_local(name, ctx) {
             return;
         }
-        if self.globals.contains(name) {
+        if self.scopes.globals.contains(name) {
             fx.reads.insert(name.to_string());
             return;
         }
-        if self.functions.contains_key(name) {
+        if self.scopes.functions.contains_key(name) {
             fx.calls.insert(name.to_string());
             return;
         }
@@ -940,7 +740,7 @@ impl<'a> EffectPass<'a> {
             // The host object itself flows into a value (`var m = model;`)
             // — every method becomes reachable through the alias, so the
             // whole declared surface applies.
-            self.touch_host(fx, name, effect, ctx);
+            self.touch_host(fx, name, effect);
             if effect.is_nondeterministic() {
                 self.record_nondet(fx, name, "*", effect, ctx);
             }
@@ -950,17 +750,10 @@ impl<'a> EffectPass<'a> {
     }
 
     /// A member access / method call with a syntactic receiver.
-    fn scan_member(
-        &self,
-        obj: &Expr,
-        prop: &str,
-        _is_call: bool,
-        ctx: Option<&str>,
-        fx: &mut FnEffect,
-    ) {
+    fn scan_member(&self, obj: &Expr, prop: &str, ctx: Option<&str>, fx: &mut FnEffect) {
         if let Expr::Ident(name) = obj {
             if let Some(effect) = self.host_effect_of(name, ctx) {
-                self.touch_host(fx, name, effect, ctx);
+                self.touch_host(fx, name, effect);
                 if effect.is_nondeterministic() {
                     self.record_nondet(fx, name, prop, effect, ctx);
                 }
@@ -968,7 +761,7 @@ impl<'a> EffectPass<'a> {
             }
         }
         if self.is_dom_expr(obj, ctx) {
-            self.touch_host(fx, "document", HostEffect::Dom, ctx);
+            self.touch_host(fx, "document", HostEffect::Dom);
         }
     }
 
@@ -988,7 +781,8 @@ impl<'a> EffectPass<'a> {
         }
         match self.chain_base(obj) {
             Expr::Ident(base)
-                if !self.is_local(base, ctx) && self.globals.contains(base.as_str()) =>
+                if !self.scopes.is_local(base, ctx)
+                    && self.scopes.globals.contains(base.as_str()) =>
             {
                 fx.writes.insert(base.to_string());
             }
@@ -1008,12 +802,6 @@ impl<'a> EffectPass<'a> {
     fn expr_flags(&self, expr: &Expr, ctx: Option<&str>, guaranteed: bool, out: &mut ExprFlags) {
         out.nodes += 1;
         match expr {
-            Expr::Ident(name) => {
-                if !self.is_local(name, ctx) && self.functions.contains_key(name.as_str()) {
-                    // A bare function reference only *costs* when called;
-                    // handled at the Call node.
-                }
-            }
             Expr::Array(elems) => {
                 out.allocs += 1;
                 if guaranteed {
@@ -1048,8 +836,8 @@ impl<'a> EffectPass<'a> {
             Expr::Call(callee, args) => {
                 match callee.as_ref() {
                     Expr::Ident(name)
-                        if !self.is_local(name, ctx)
-                            && self.functions.contains_key(name.as_str()) =>
+                        if !self.scopes.is_local(name, ctx)
+                            && self.scopes.functions.contains_key(name.as_str()) =>
                     {
                         out.calls.push((name.to_string(), guaranteed));
                     }
@@ -1074,6 +862,9 @@ impl<'a> EffectPass<'a> {
                 let rhs_guaranteed = guaranteed && *op != "&&" && *op != "||";
                 self.expr_flags(r, ctx, rhs_guaranteed, out);
             }
+            // A bare function reference only costs when called (the Call
+            // arm counts it).
+            Expr::Ident(_) => {}
             Expr::Undefined | Expr::Null | Expr::Bool(_) | Expr::Number(_) | Expr::Str(_) => {}
         }
     }
@@ -1482,139 +1273,30 @@ fn fn_ceiling(
     result
 }
 
-/// Hoisted `var` names of one function body (no nested functions).
-fn collect_vars_shallow(stmts: &[Stmt], out: &mut BTreeSet<String>) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Var(name, _) => {
-                out.insert(name.to_string());
-            }
-            Stmt::If(_, then, els) => {
-                collect_vars_shallow(then, out);
-                collect_vars_shallow(els, out);
-            }
-            Stmt::While(_, body) => collect_vars_shallow(body, out),
-            Stmt::For {
-                init, update, body, ..
-            } => {
-                if let Some(s) = init {
-                    collect_vars_shallow(std::slice::from_ref(s), out);
-                }
-                if let Some(s) = update {
-                    collect_vars_shallow(std::slice::from_ref(s), out);
-                }
-                collect_vars_shallow(body, out);
-            }
-            Stmt::Function(_) | Stmt::Assign(..) | Stmt::Expr(_) | Stmt::Return(_) => {}
-        }
-    }
-}
-
-/// Every function declaration in a block, nested ones included.
-fn collect_function_defs(stmts: &[Stmt]) -> Vec<FunctionDef> {
-    let mut out = Vec::new();
-    fn walk(stmts: &[Stmt], out: &mut Vec<FunctionDef>) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Function(def) => {
-                    out.push(def.clone());
-                    walk(&def.body, out);
-                }
-                Stmt::If(_, then, els) => {
-                    walk(then, out);
-                    walk(els, out);
-                }
-                Stmt::While(_, body) => walk(body, out),
-                Stmt::For {
-                    init, update, body, ..
-                } => {
-                    if let Some(s) = init {
-                        walk(std::slice::from_ref(s), out);
-                    }
-                    if let Some(s) = update {
-                        walk(std::slice::from_ref(s), out);
-                    }
-                    walk(body, out);
-                }
-                _ => {}
-            }
-        }
-    }
-    walk(stmts, &mut out);
-    out
-}
-
-/// Locals of one function whose every initializer/assignment is a
+/// Locals of `def` whose every `var` initializer and assignment is a
 /// recognizable DOM expression — one-level alias tracking for the common
-/// `var el = document.getElementById(..)` pattern.
-fn dom_locals(def: &FunctionDef, scope: &FuncScope) -> BTreeSet<String> {
+/// `var el = document.getElementById(..)` pattern. Params can be rebound
+/// by callers, so they are never DOM-trusted; a local both DOM- and
+/// other-assigned is not trusted either (flow-insensitive).
+fn dom_locals(scopes: &Scopes<'_>, def: &FunctionDef) -> BTreeSet<String> {
+    let ctx = Some(def.name.as_str());
+    let Some(scope) = scopes.functions.get(def.name.as_str()) else {
+        return BTreeSet::new();
+    };
     let mut assigned_dom: BTreeSet<String> = BTreeSet::new();
     let mut assigned_other: BTreeSet<String> = BTreeSet::new();
-    fn is_base_dom(expr: &Expr) -> bool {
-        // `document` shadowing inside the same function would already
-        // put the name in locals/globals; the caller filters params.
-        match expr {
-            Expr::Call(callee, _) => match callee.as_ref() {
-                Expr::Member(obj, m) => {
-                    matches!(obj.as_ref(), Expr::Ident(n) if n == "document")
-                        && (m == "getElementById" || m == "createElement")
-                }
-                _ => false,
-            },
-            Expr::Member(obj, p) => {
-                matches!(obj.as_ref(), Expr::Ident(n) if n == "document") && p == "body"
-            }
-            _ => false,
+    walk_stmts(&def.body, &mut |stmt| {
+        let (name, value) = match stmt {
+            Stmt::Var(name, init) => (name, init.as_ref()),
+            Stmt::Assign(Expr::Ident(name), value) => (name, Some(value)),
+            _ => return,
+        };
+        if value.is_some_and(|v| scopes.is_dom_expr(v, ctx)) {
+            assigned_dom.insert(name.to_string());
+        } else {
+            assigned_other.insert(name.to_string());
         }
-    }
-    fn walk(
-        stmts: &[Stmt],
-        assigned_dom: &mut BTreeSet<String>,
-        assigned_other: &mut BTreeSet<String>,
-    ) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Var(name, init) => match init {
-                    Some(e) if is_base_dom(e) => {
-                        assigned_dom.insert(name.to_string());
-                    }
-                    Some(_) => {
-                        assigned_other.insert(name.to_string());
-                    }
-                    None => {
-                        assigned_other.insert(name.to_string());
-                    }
-                },
-                Stmt::Assign(Expr::Ident(name), value) => {
-                    if is_base_dom(value) {
-                        assigned_dom.insert(name.to_string());
-                    } else {
-                        assigned_other.insert(name.to_string());
-                    }
-                }
-                Stmt::If(_, then, els) => {
-                    walk(then, assigned_dom, assigned_other);
-                    walk(els, assigned_dom, assigned_other);
-                }
-                Stmt::While(_, body) => walk(body, assigned_dom, assigned_other),
-                Stmt::For {
-                    init, update, body, ..
-                } => {
-                    if let Some(s) = init {
-                        walk(std::slice::from_ref(s), assigned_dom, assigned_other);
-                    }
-                    if let Some(s) = update {
-                        walk(std::slice::from_ref(s), assigned_dom, assigned_other);
-                    }
-                    walk(body, assigned_dom, assigned_other);
-                }
-                _ => {}
-            }
-        }
-    }
-    walk(&def.body, &mut assigned_dom, &mut assigned_other);
-    // Params can be rebound by callers; never DOM-trusted. A local both
-    // DOM- and other-assigned is not trusted either (flow-insensitive).
+    });
     assigned_dom
         .into_iter()
         .filter(|n| scope.locals.contains(n) && !scope.params.contains(n))
@@ -1863,22 +1545,6 @@ mod tests {
             let got: Vec<&str> = writes.iter().map(String::as_str).collect();
             assert_eq!(got, expected, "{src}");
         }
-    }
-
-    #[test]
-    fn cache_memoizes_by_source_and_hosts() {
-        let mut cache = EffectCache::new();
-        let page = "<html><body></body><script>var a = 1;</script></html>";
-        let opts = EffectOptions::new();
-        let first = cache.summary_html(page, &opts).unwrap();
-        let second = cache.summary_html(page, &opts).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(cache.stats(), (1, 1));
-        assert_eq!(cache.len(), 1);
-        // A different host surface is a different key.
-        let other = EffectOptions::new().with_host("clock", HostEffect::Clock);
-        cache.summary_html(page, &other).unwrap();
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]

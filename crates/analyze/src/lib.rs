@@ -40,10 +40,11 @@
 mod analysis;
 pub mod effects;
 pub mod hostapi;
+mod scope;
 
 pub use effects::{
-    effect_summary, effect_summary_html, AnalyzeError, CostBound, Effect, EffectCache,
-    EffectOptions, EffectSummary, FnEffect, NondetSource, TOPLEVEL,
+    effect_summary, effect_summary_html, AnalyzeError, CostBound, Effect, EffectOptions,
+    EffectSummary, FnEffect, NondetSource, TOPLEVEL,
 };
 pub use snapedge_webapp::HostEffect;
 

@@ -1,4 +1,4 @@
-//! Ablation: the snapshot-size optimizations of reference [10]
+//! Ablation: the snapshot-size optimizations of reference \[10\]
 //! (single-use-cell inlining + default-value omission) versus the naive
 //! two-phase serialization, measured on the actual benchmark apps at
 //! their offload points.

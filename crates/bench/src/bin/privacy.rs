@@ -1,7 +1,7 @@
 //! Extension experiment: quantifying the privacy of partial inference.
 //!
 //! The paper argues (Section III-B.2) that withholding the front model
-//! files defeats hill-climbing input reconstruction [17]. This bench runs
+//! files defeats hill-climbing input reconstruction \[17\]. This bench runs
 //! the attack across cut depths and attacker knowledge levels and reports
 //! reconstruction error.
 //!

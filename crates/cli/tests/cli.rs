@@ -73,6 +73,29 @@ fn vanishing_link_rate_is_rejected() {
 }
 
 #[test]
+fn huge_retry_deadline_is_rejected() {
+    rejects(&["run", "--retry", "deadline=1e30"], "retry");
+}
+
+#[test]
+fn huge_fault_plan_window_is_rejected() {
+    rejects(&["run", "--fault-plan", "down@1..1e30"], "fault-plan");
+}
+
+#[test]
+fn huge_server_fault_window_is_rejected() {
+    rejects(
+        &["run", "--servers", "edge-a,faults=down@0..1e30"],
+        "servers",
+    );
+}
+
+#[test]
+fn huge_meter_slice_is_rejected() {
+    rejects(&["run", "--meter", "slice=1e30"], "meter");
+}
+
+#[test]
 fn timeline_false_prints_no_timeline() {
     let run = |on: &str| {
         let out = snapedge(&["run", "--model", "tiny_cnn", "--timeline", on]);

@@ -5,7 +5,7 @@
 //! JavaScript via Caffe.js (no GPU — the paper notes server times would
 //! drop sharply with WebGL). We model each device as an *effective
 //! throughput per layer type* (GFLOPS), the same granularity Neurosurgeon
-//! [16] uses for its per-layer latency predictors, plus per-layer dispatch
+//! \[16\] uses for its per-layer latency predictors, plus per-layer dispatch
 //! overhead and a snapshot serialization cost model.
 //!
 //! Calibration targets the relative shape of the paper's Figs. 6–8:

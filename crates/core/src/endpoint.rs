@@ -114,9 +114,7 @@ impl Endpoint {
 
     /// Runs static effect analysis over app source against this
     /// endpoint's registered host surface, recording an instant
-    /// `effect_verdict:{outcome}` trace event. The summary is memoized in
-    /// `cache` keyed by source + host surface, so long-lived sessions
-    /// analyze each app once.
+    /// `effect_verdict:{outcome}` trace event.
     ///
     /// # Errors
     ///
@@ -127,10 +125,9 @@ impl Endpoint {
     pub fn gate_effects(
         &mut self,
         html_src: &str,
-        cache: &mut snapedge_analyze::EffectCache,
     ) -> Result<snapedge_analyze::EffectSummary, OffloadError> {
         let opts = snapedge_analyze::EffectOptions::from_host_effects(self.browser.host_effects());
-        let result = cache.summary_html(html_src, &opts);
+        let result = snapedge_analyze::effect_summary_html(html_src, &opts);
         let outcome = match &result {
             Ok(s) if s.is_nondeterministic() => "nondeterministic",
             Ok(_) => "ok",

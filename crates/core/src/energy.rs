@@ -1,7 +1,7 @@
 //! Client-side energy accounting.
 //!
-//! The offloading literature the paper builds on (MAUI [22], CloneCloud
-//! [23], ThinkAir [24]) is motivated by *battery life* as much as latency.
+//! The offloading literature the paper builds on (MAUI \[22\], CloneCloud
+//! \[23\], ThinkAir \[24\]) is motivated by *battery life* as much as latency.
 //! This module attaches a simple power model to the client board and
 //! integrates it over a scenario's phase breakdown: CPU-active power while
 //! executing and (de)serializing snapshots, radio power while transfers

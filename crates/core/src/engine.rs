@@ -16,16 +16,14 @@
 //! the one shared resource — the server CPU — and the engine interleaves
 //! those yields:
 //!
-//! * [`Ev::Arrive`]: a request reaches a client (open-loop arrivals may
+//! * `Ev::Arrive`: a request reaches a client (open-loop arrivals may
 //!   find the client busy and queue client-side).
-//! * [`Ev::Admit`]: a client's uplinked snapshot asks for server CPU.
+//! * `Ev::Admit`: a client's uplinked snapshot asks for server CPU.
 //!   The engine grants it at `max(request, busy_until[server])` — the
 //!   difference **is** the queueing delay, recorded by the session as
 //!   `enqueue`/`queue_wait`/`dequeue` trace events. Contention emerges
-//!   from overlapping requests instead of an analytic approximation
-//!   (contrast [`crate::contention`], which this engine supersedes for
-//!   fleet-level questions).
-//! * [`Ev::Release`]: the server CPU frees; the round's downlink and
+//!   from overlapping requests instead of an analytic approximation.
+//! * `Ev::Release`: the server CPU frees; the round's downlink and
 //!   completion run on the client's private timeline.
 //!
 //! Links, captures and restores are per-client resources and ride each
@@ -52,8 +50,8 @@ use snapedge_trace::{Summary, Trace};
 use std::collections::VecDeque;
 use std::time::Duration;
 
-/// Snapshot size the analytic workload prices per request: the same
-/// calibrated full-offload app state [`crate::contention`] uses.
+/// Snapshot size the analytic workload prices per request: the
+/// calibrated full-offload app state.
 const MODELED_SNAPSHOT_BYTES: u64 = 70 * 1024;
 
 /// The per-round image seed both the engine and any legacy comparison
@@ -71,8 +69,7 @@ pub fn round_image_seed(engine_seed: u64, client: u64, round: u64) -> u64 {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// Closed loop: every client issues at t=0 and re-issues `think`
-    /// after each completion — the paper's interactive-user model (and
-    /// the regime [`crate::contention`] simulated).
+    /// after each completion — the paper's interactive-user model.
     ClosedLoop {
         /// Think time between a result and the next request.
         think: Duration,
@@ -415,8 +412,7 @@ struct ModeledRound {
 /// execution + capture at the server; capture/transfer/restore on the
 /// client side), with clients rotating round-robin over the fleet. No
 /// browsers are built, so tens of thousands of clients simulate in
-/// milliseconds — the fidelity trade [`crate::contention`] made, now
-/// behind the same [`Workload`] API as real sessions.
+/// milliseconds, behind the same [`Workload`] API as real sessions.
 pub struct ModeledWorkload {
     names: Vec<String>,
     service: Vec<Duration>,
@@ -612,7 +608,7 @@ pub struct ServerLoad {
     /// `busy / makespan` — the duty cycle over the run (`0` for a run
     /// that never completed a round, where the makespan is zero).
     pub utilization: f64,
-    /// Compute admissions routed to this server (every [`Ev::Admit`],
+    /// Compute admissions routed to this server (every `Ev::Admit`,
     /// whether granted immediately, deferred, or batched).
     pub admits: usize,
     /// Rounds the admission gate degraded to local while this server was

@@ -20,10 +20,10 @@
 //! | the one offload config + builder | [`SessionConfig`] |
 //! | megascale event-queue fleet engine (concurrent clients) | [`engine`] |
 //! | client/server device latency models (Odroid-XU4 vs x86) | [`device`] |
-//! | the Caffe.js `model` host object apps call | [`mlhost`] |
+//! | the Caffe.js `model` host object apps call | [`CaffeJsHost`] |
 //! | the two benchmark apps (paper Figs. 2 & 5) | [`apps`] |
-//! | a browser-bearing machine | [`endpoint`] |
-//! | one-shot scenarios (Figs. 6–8) as the first round of a session | [`scenario`] |
+//! | a browser-bearing machine | [`Endpoint`] |
+//! | one-shot scenarios (Figs. 6–8) as the first round of a session | [`run_scenario`] |
 //! | pre-sending, ACK, migration, deltas, failover — the one offload driver | [`OffloadSession`] |
 //! | Neurosurgeon-style partition-point optimization | [`partition`] |
 //! | fault classification, retry policy, local fallback | [`resilience`] |
@@ -91,7 +91,5 @@ pub use resilience::{
 pub use scenario::{run_scenario, Breakdown, ScenarioReport, Strategy};
 pub use session::{OffloadSession, RoundReport};
 pub use session_config::{SessionBuilder, SessionConfig};
-pub use snapedge_analyze::{
-    AnalyzeError, CostBound, Effect, EffectCache, EffectOptions, EffectSummary,
-};
+pub use snapedge_analyze::{AnalyzeError, CostBound, Effect, EffectOptions, EffectSummary};
 pub use snapedge_webapp::{HostEffect, MeterLimits};

@@ -3,7 +3,7 @@
 //! "The partitioning point of the front/rear part can be decided
 //! dynamically based on two factors. One is the execution time of each DNN
 //! layer, estimated by a prediction model for the DNN layers, as used in
-//! Neurosurgeon [16]. The other is the runtime network status. We estimate
+//! Neurosurgeon \[16\]. The other is the runtime network status. We estimate
 //! the total execution time for forward execution and select a
 //! partitioning point that can minimize the total execution time, while
 //! including at least one layer from the front part of the DNN to denature

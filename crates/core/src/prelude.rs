@@ -29,7 +29,7 @@ pub use crate::scenario::{run_scenario, Breakdown, ScenarioReport, Strategy};
 pub use crate::session::{OffloadSession, RoundReport};
 pub use crate::session_config::{SessionBuilder, SessionConfig};
 pub use crate::timeline;
-pub use snapedge_analyze::{AnalyzeError, EffectCache, EffectOptions, EffectSummary};
+pub use snapedge_analyze::{AnalyzeError, EffectOptions, EffectSummary};
 pub use snapedge_dnn::{zoo, ExecMode};
 pub use snapedge_net::{FaultKind, FaultPlan, FaultWindow, Link, LinkConfig};
 pub use snapedge_net::{LinkHealth, LinkPrediction};

@@ -2,7 +2,7 @@
 //!
 //! Section III-B.2: feature data can be inverted back to the input by a
 //! hill-climbing algorithm **given the front layers' types and
-//! parameters** [17], so the client withholds the front model files.
+//! parameters** \[17\], so the client withholds the front model files.
 //! This module implements that inversion attack (gradient-free coordinate
 //! descent on the input, minimizing the feature-space error) and measures
 //! how much worse the attacker does when the true front parameters are
@@ -45,7 +45,7 @@ fn front_feature(
 
 /// Reconstructs an input estimate from observed feature data, using the
 /// attacker's belief about the front model (`params`). This is the
-/// hill-climbing inversion of [17] in gradient-free form.
+/// hill-climbing inversion of \[17\] in gradient-free form.
 ///
 /// # Errors
 ///

@@ -135,7 +135,8 @@ impl RetryPolicy {
                 if !(s.is_finite() && s >= 0.0) {
                     return Err(format!("bad duration {v:?} in retry spec"));
                 }
-                Ok(Duration::from_secs_f64(s))
+                Duration::try_from_secs_f64(s)
+                    .map_err(|_| format!("bad duration {v:?} in retry spec"))
             };
             match key.trim() {
                 "attempts" => {

@@ -164,9 +164,6 @@ pub struct OffloadSession {
     /// The server meter's `total_ops` reading when the current round
     /// started — per-round `ops_used` is the delta past this mark.
     meter_mark: u64,
-    /// Memoized effect summaries keyed by app source + host surface —
-    /// a long-lived session analyzes each app once.
-    effect_cache: snapedge_analyze::EffectCache,
     /// The active app's effect summary, when `cfg.snapshot.effects` is
     /// on: its nondeterminism and cost-bound gates run pre-ship in
     /// `round_start`, and its op floor feeds the link-health predictor as
@@ -310,7 +307,6 @@ impl OffloadSession {
             last_full_bytes,
             pending: None,
             meter_mark: 0,
-            effect_cache: snapedge_analyze::EffectCache::new(),
             effects: None,
             queue_outlook: Vec::new(),
         };
@@ -368,7 +364,7 @@ impl OffloadSession {
         Ok(())
     }
 
-    /// Runs (memoized) static effect analysis over the session's app and
+    /// Runs static effect analysis over the session's app and
     /// keeps the summary for the pre-ship gates in `round_start` and the
     /// predictor's cost prior. A nondeterministic app is *not* an error
     /// here — every round is forced local instead, since the paper's
@@ -380,9 +376,7 @@ impl OffloadSession {
     fn analyze_app(&mut self, app_html: &str) -> Result<(), OffloadError> {
         let opts =
             snapedge_analyze::EffectOptions::from_host_effects(self.client.browser.host_effects());
-        let summary = self
-            .effect_cache
-            .summary_html(app_html, &opts)
+        let summary = snapedge_analyze::effect_summary_html(app_html, &opts)
             .map_err(OffloadError::Analyze)?;
         self.effects = Some(summary);
         Ok(())
@@ -697,9 +691,9 @@ impl OffloadSession {
     /// every candidate is exhausted.
     ///
     /// This is the closed-loop driver of the resumable round state
-    /// machine ([`OffloadSession::round_start`] →
-    /// [`OffloadSession::round_compute`] →
-    /// [`OffloadSession::round_finish`]): it grants the server CPU the
+    /// machine (`OffloadSession::round_start` →
+    /// `OffloadSession::round_compute` →
+    /// `OffloadSession::round_finish`): it grants the server CPU the
     /// instant the uplink lands, the single-client regime where nothing
     /// else competes for it. The fleet engine drives the same machine
     /// through a global event queue instead, delaying the compute grant

@@ -22,7 +22,7 @@
 //!    `lint: allow(collect-in-loop)` when per-iteration ownership is the
 //!    point).
 //! 5. **No string-keyed maps on the hot path.** Identifier lookups go
-//!    through interned [`Symbol`]s (`crates/webapp/src/intern.rs`); a
+//!    through interned `Symbol`s (`crates/webapp/src/intern.rs`); a
 //!    `BTreeMap<String, _>`/`HashMap<String, _>` in hot code re-compares
 //!    key bytes on every probe and usually marks a spot the interning
 //!    refactor missed. Maps whose keys are genuinely arbitrary app data

@@ -62,7 +62,7 @@ impl BandwidthEstimator {
     /// from the faulty server. A no-op before the first throughput
     /// sample: with no estimate there is nothing to decay, and inventing
     /// one would poison the first real observation. Decay stops at a
-    /// small floor ([`PENALTY_FLOOR_BPS`]) so an arbitrarily-penalized
+    /// small floor (`PENALTY_FLOOR_BPS`) so an arbitrarily-penalized
     /// estimator still yields finite, monotone transfer-time predictions.
     pub fn penalize(&mut self) {
         if let Some(prev) = self.estimate_bps {

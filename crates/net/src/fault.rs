@@ -227,7 +227,7 @@ impl FaultPlan {
                 if !(secs.is_finite() && secs >= 0.0) {
                     return Err(bad(what));
                 }
-                Ok(Duration::from_secs_f64(secs))
+                Duration::try_from_secs_f64(secs).map_err(|_| bad(what))
             };
             match kind.trim() {
                 "down" | "corrupt" => {

@@ -68,7 +68,7 @@ pub struct LinkPrediction {
     pub fault_rate: f64,
     /// Current bandwidth estimate over the best in-window estimate;
     /// `1.0` when there is not enough history to compare. Below
-    /// [`SHRINKING_TREND`] the path counts as collapsing.
+    /// `SHRINKING_TREND` the path counts as collapsing.
     pub bandwidth_trend: f64,
     /// Virtual time since the last successful transfer, `None` before
     /// any success.

@@ -1,7 +1,7 @@
 //! # snapedge-net
 //!
 //! A deterministic network model — the stand-in for the paper's Ethernet
-//! link shaped to 30 Mbps with `netem` [18].
+//! link shaped to 30 Mbps with `netem` \[18\].
 //!
 //! Everything runs in **virtual time**: a [`SimClock`] advances only when
 //! the simulation says so, so every experiment is exactly reproducible.

@@ -11,7 +11,7 @@
 //! * [`Tracer`] — a cheap cloneable recording handle shared by every
 //!   component of a simulation (endpoints, links, model hosts). Records
 //!   typed [`Event`]s with [`Lane`]/[`EventKind`]/byte counts against the
-//!   **virtual** clock (timestamps are plain [`Duration`]s supplied by the
+//!   **virtual** clock (timestamps are plain [`Duration`](std::time::Duration)s supplied by the
 //!   caller, typically `SimClock::now()`), supports nested spans via
 //!   [`Tracer::begin`]/[`Tracer::end`], and exposes named atomic
 //!   [`Counter`]s.

@@ -1,7 +1,7 @@
 //! # snapedge-vmsynth
 //!
 //! A model of **VM synthesis** (Ha et al., "Just-in-time provisioning for
-//! cyber foraging" [14], via the elijah-cloudlet project [26]): the
+//! cyber foraging" \[14\], via the elijah-cloudlet project \[26\]): the
 //! mechanism the paper uses to install its offloading system on an edge
 //! server that does not have it (Section III-B.3, evaluated in Table I).
 //!

@@ -75,8 +75,8 @@ pub enum Stmt {
 }
 
 /// A top-level function. MiniJS has no closures — functions capture nothing,
-/// mirroring the snapshot system of reference [10] (closure reconstruction
-/// is the subject of the follow-up paper [11] and out of scope).
+/// mirroring the snapshot system of reference \[10\] (closure reconstruction
+/// is the subject of the follow-up paper \[11\] and out of scope).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunctionDef {
     /// Function name.
@@ -85,6 +85,55 @@ pub struct FunctionDef {
     pub params: Vec<Ident>,
     /// Body statements.
     pub body: Vec<Stmt>,
+}
+
+impl FunctionDef {
+    /// Every name this function binds for its whole body: parameters,
+    /// then `var` declarations in first-occurrence order, each once.
+    /// `var` hoists as in JavaScript, so a declaration anywhere in the
+    /// body (outside nested functions) makes the name local throughout.
+    pub fn locals(&self) -> Vec<&Ident> {
+        let mut out: Vec<&Ident> = Vec::new();
+        let mut add = |name| {
+            if !out.contains(&name) {
+                out.push(name);
+            }
+        };
+        self.params.iter().for_each(&mut add);
+        walk_stmts(&self.body, &mut |stmt| {
+            if let Stmt::Var(name, _) = stmt {
+                add(name);
+            }
+        });
+        out
+    }
+}
+
+/// Calls `f` on every statement that runs in the scope of `stmts`, in
+/// source order: it descends into `if`/`while`/`for` bodies and the `for`
+/// init/update, but not into nested function declarations (their bodies
+/// are a scope of their own).
+pub fn walk_stmts<'a, F: FnMut(&'a Stmt)>(stmts: &'a [Stmt], f: &mut F) {
+    for stmt in stmts {
+        f(stmt);
+        match stmt {
+            Stmt::If(_, then_body, else_body) => {
+                walk_stmts(then_body, f);
+                walk_stmts(else_body, f);
+            }
+            Stmt::While(_, body) => walk_stmts(body, f),
+            Stmt::For {
+                init, update, body, ..
+            } => {
+                for header in init.iter().chain(update) {
+                    walk_stmts(std::slice::from_ref(&**header), f);
+                }
+                walk_stmts(body, f);
+            }
+            Stmt::Var(..) | Stmt::Assign(..) | Stmt::Expr(_) | Stmt::Return(_) => {}
+            Stmt::Function(_) => {}
+        }
+    }
 }
 
 /// Escapes a string into MiniJS literal syntax including quotes.

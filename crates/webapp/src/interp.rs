@@ -22,29 +22,15 @@ use std::rc::Rc;
 /// is a symbol-indexed slot hit instead of a string-keyed map walk.
 #[derive(Debug)]
 pub(crate) struct FrameLayout {
-    slots: Vec<Symbol>,
     index: BTreeMap<Symbol, usize>,
 }
 
 impl FrameLayout {
     pub(crate) fn for_def(def: &FunctionDef) -> FrameLayout {
-        let mut layout = FrameLayout {
-            slots: Vec::new(),
-            index: BTreeMap::new(),
-        };
-        for param in &def.params {
-            layout.add(param.sym());
+        let locals = def.locals().into_iter().enumerate();
+        FrameLayout {
+            index: locals.map(|(slot, name)| (name.sym(), slot)).collect(),
         }
-        scan_vars(&def.body, &mut layout);
-        layout
-    }
-
-    fn add(&mut self, sym: Symbol) {
-        let next = self.slots.len();
-        self.index.entry(sym).or_insert_with(|| {
-            self.slots.push(sym);
-            next
-        });
     }
 
     fn slot_of(&self, sym: Symbol) -> Option<usize> {
@@ -52,50 +38,31 @@ impl FrameLayout {
     }
 
     fn len(&self) -> usize {
-        self.slots.len()
+        self.index.len()
     }
 }
 
-/// Collects `var` names into the layout. Does not descend into nested
-/// function declarations — their `var`s bind in *their* frame.
-fn scan_vars(stmts: &[Stmt], layout: &mut FrameLayout) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Var(name, _) => layout.add(name.sym()),
-            Stmt::If(_, then_body, else_body) => {
-                scan_vars(then_body, layout);
-                scan_vars(else_body, layout);
-            }
-            Stmt::While(_, body) => scan_vars(body, layout),
-            Stmt::For {
-                init, update, body, ..
-            } => {
-                if let Some(init) = init {
-                    scan_vars(std::slice::from_ref(init), layout);
-                }
-                if let Some(update) = update {
-                    scan_vars(std::slice::from_ref(update), layout);
-                }
-                scan_vars(body, layout);
-            }
-            Stmt::Function(_) | Stmt::Assign(..) | Stmt::Expr(_) | Stmt::Return(_) => {}
-        }
-    }
-}
-
-/// One call frame: slot-indexed locals. `None` means the slot's `var`
-/// has not executed yet — MiniJS does not hoist, so reads fall through
-/// to the global scope and assignments create globals until the
-/// declaration runs (parameters are occupied from entry).
+/// One call frame: slot-indexed locals. Every slot starts `undefined`
+/// and binds for the whole call — `var` hoists as in JavaScript, so a
+/// read before the declaration runs sees `undefined` and an assignment
+/// before it stays local.
 struct Frame {
     layout: Rc<FrameLayout>,
-    slots: Vec<Option<JsValue>>,
+    slots: Vec<JsValue>,
 }
 
 impl Frame {
     fn new(layout: Rc<FrameLayout>) -> Frame {
-        let slots = vec![None; layout.len()];
+        let slots = vec![JsValue::Undefined; layout.len()];
         Frame { layout, slots }
+    }
+
+    /// The slot `sym` binds to in `frame`, or `None` for a global name
+    /// (top-level code has no frame).
+    fn local(frame: &mut Option<Frame>, sym: Symbol) -> Option<&mut JsValue> {
+        let locals = frame.as_mut()?;
+        let slot = locals.layout.slot_of(sym)?;
+        locals.slots.get_mut(slot)
     }
 }
 
@@ -174,7 +141,7 @@ impl Browser {
         let mut frame = Frame::new(layout);
         for (i, param) in def.params.iter().enumerate() {
             if let Some(slot) = frame.layout.slot_of(param.sym()) {
-                frame.slots[slot] = Some(args.get(i).cloned().unwrap_or(JsValue::Undefined));
+                frame.slots[slot] = args.get(i).cloned().unwrap_or(JsValue::Undefined);
             }
         }
         let mut frame = Some(frame);
@@ -231,19 +198,7 @@ impl Browser {
                     Some(e) => self.eval(e, frame)?,
                     None => JsValue::Undefined,
                 };
-                match frame {
-                    // The layout indexed every `var` in the body, so the
-                    // slot exists; occupy it now (no hoisting).
-                    Some(locals) => match locals.layout.slot_of(name.sym()) {
-                        Some(slot) => locals.slots[slot] = Some(value),
-                        None => {
-                            self.core.globals.insert(name.sym(), value);
-                        }
-                    },
-                    None => {
-                        self.core.globals.insert(name.sym(), value);
-                    }
-                }
+                self.bind(name, value, frame);
                 Ok(Flow::Normal)
             }
             Stmt::Assign(target, value_expr) => {
@@ -312,6 +267,17 @@ impl Browser {
         }
     }
 
+    /// Stores `value` in the local slot `name` binds to, or else in the
+    /// global `name` — created if absent, as in sloppy-mode JS.
+    fn bind(&mut self, name: &Ident, value: JsValue, frame: &mut Option<Frame>) {
+        match Frame::local(frame, name.sym()) {
+            Some(slot) => *slot = value,
+            None => {
+                self.core.globals.insert(name.sym(), value);
+            }
+        }
+    }
+
     fn assign(
         &mut self,
         target: &Expr,
@@ -320,19 +286,7 @@ impl Browser {
     ) -> Result<(), WebError> {
         match target {
             Expr::Ident(name) => {
-                if let Some(locals) = frame {
-                    if let Some(slot) = locals.layout.slot_of(name.sym()) {
-                        // Only an *occupied* slot is a local — before its
-                        // `var` runs, assignment still targets a global.
-                        if locals.slots[slot].is_some() {
-                            locals.slots[slot] = Some(value);
-                            return Ok(());
-                        }
-                    }
-                }
-                // Assignment to an undeclared name creates/overwrites a
-                // global, as in sloppy-mode JS.
-                self.core.globals.insert(name.sym(), value);
+                self.bind(name, value, frame);
                 Ok(())
             }
             Expr::Member(obj_expr, prop) => {
@@ -480,16 +434,14 @@ impl Browser {
         }
     }
 
-    /// Resolution order (mirrored by the static analyzer): occupied
-    /// frame slot, global, top-level function, host object. Every step
-    /// is a symbol-keyed probe — no string comparison on this path.
+    /// Resolution order (shared with the static analyzer's scope
+    /// model): frame slot, global, top-level function, host object. Every
+    /// step is a symbol-keyed probe — no string comparison on this path.
     fn lookup(&mut self, name: &Ident, frame: &Option<Frame>) -> Result<JsValue, WebError> {
         let sym = name.sym();
         if let Some(locals) = frame {
             if let Some(slot) = locals.layout.slot_of(sym) {
-                if let Some(v) = &locals.slots[slot] {
-                    return Ok(v.clone());
-                }
+                return Ok(locals.slots[slot].clone());
             }
         }
         if let Some(v) = self.core.globals.get(sym) {

@@ -114,7 +114,9 @@ impl MeterLimits {
                     if !ms.is_finite() || ms <= 0.0 {
                         return Err(format!("meter slice must be positive, got {value:?}"));
                     }
-                    limits.time_slice = Some(Duration::from_secs_f64(ms / 1000.0));
+                    let slice = Duration::try_from_secs_f64(ms / 1000.0)
+                        .map_err(|_| format!("invalid meter slice {value:?}"))?;
+                    limits.time_slice = Some(slice);
                 }
                 other => {
                     return Err(format!(

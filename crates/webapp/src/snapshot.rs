@@ -39,7 +39,7 @@ const RENDER_CACHE_MAX: usize = 1024;
 /// Options controlling snapshot generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotOptions {
-    /// Apply the size optimization of reference [10]: heap cells referenced
+    /// Apply the size optimization of reference \[10\]: heap cells referenced
     /// exactly once and free of cycles are inlined as literals instead of
     /// being built through numbered temporaries and patch statements.
     pub inline_single_use: bool,

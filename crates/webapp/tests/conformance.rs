@@ -91,6 +91,39 @@ fn scoping_semantics() {
 }
 
 #[test]
+fn var_hoists_to_the_top_of_its_function() {
+    // A read before the `var` runs sees the hoisted binding: `undefined`.
+    assert_eq!(
+        result_of("function f() { var seen = typeof x; var x = 1; return seen; } var r = f();"),
+        s("undefined")
+    );
+    // An assignment before the `var` binds the local; no global appears.
+    let mut b = Browser::new();
+    b.exec_script(
+        "function g() { z = 1; var before = z; var z = 2; return before + z; } var r = g();",
+    )
+    .unwrap();
+    assert_eq!(b.global("r"), n(3.0));
+    assert!(b.eval_expr("z").is_err(), "no global z is created");
+    // A `var` in a loop body is one binding for the whole function:
+    // `undefined` until its first run, and still visible after the loop.
+    assert_eq!(
+        result_of(
+            "function h() {
+               var fresh = 0;
+               for (var i = 0; i < 3; i += 1) {
+                 if (typeof last == \"undefined\") { fresh += 1; }
+                 var last = i;
+               }
+               return fresh * 10 + last;
+             }
+             var r = h();"
+        ),
+        n(12.0)
+    );
+}
+
+#[test]
 fn recursion_works() {
     assert_eq!(
         result_of(

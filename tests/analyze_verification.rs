@@ -14,7 +14,10 @@
 //!   [`OffloadError::Verify`], records a `verify` trace event, and the
 //!   uplink sees zero transfers and zero bytes.
 
-use snapedge_analyze::{analyze_html, AnalysisOptions, Mode, Rule, Severity};
+use snapedge_analyze::{
+    analyze_html, analyze_script, effect_summary, AnalysisOptions, EffectOptions, Mode, Rule,
+    Severity,
+};
 use snapedge_core::{odroid_xu4, Endpoint, OffloadError, OffloadSession, SessionConfig};
 use snapedge_net::{Link, LinkConfig, SimClock};
 use snapedge_rng::Rng;
@@ -226,5 +229,50 @@ fn free_variable_is_rejected_before_any_link_traffic() {
     assert!(
         trace.events().iter().any(|e| e.kind == EventKind::Verify),
         "rejection must still record a verify event"
+    );
+}
+
+/// Small programs probing the scope model the verifier shares with the
+/// interpreter.
+const SCOPING_CORPUS: &[&str] = &[
+    // A read before `var` sees the hoisted local (`undefined`).
+    "function f() { return x; var x = 1; } var y = f();",
+    // An assignment before `var` stays local: no global `z` appears.
+    "function g() { z = 1; var z = 2; } g(); var w = z;",
+    // A `var` in a `for` init binds for the whole function...
+    "function h() { for (var i = 0; i < 3; i = i + 1) { } return i; } var r = h();",
+    // ...and only there.
+    "function h() { for (var i = 0; i < 3; i = i + 1) { } } h(); var r = i;",
+    // Assigning to a host name creates a global that shadows the host.
+    "function k() { console = 1; } k(); var c = console;",
+    // `document` shadowed by a local, a global and a function.
+    "function s() { var document = 1; return document; } var d = s();",
+    "var document = 7; var d = document;",
+    "function document() { return 3; } var d = document();",
+];
+
+#[test]
+fn verifier_flags_exactly_the_programs_that_hit_unknown_identifiers() {
+    for src in SCOPING_CORPUS {
+        let flagged = analyze_script(src, &AnalysisOptions::snapshot()).has_errors();
+        let unknown = match Browser::new().exec_script(src) {
+            Ok(()) => false,
+            Err(err) => {
+                let msg = err.to_string();
+                assert!(msg.contains("unknown identifier"), "{src}: {msg}");
+                true
+            }
+        };
+        assert_eq!(flagged, unknown, "{src}");
+    }
+}
+
+#[test]
+fn effect_pass_credits_no_global_write_to_an_assignment_before_var() {
+    let summary = effect_summary(SCOPING_CORPUS[1], &EffectOptions::new()).unwrap();
+    assert!(
+        summary.functions["g"].writes.is_empty(),
+        "{}",
+        summary.render()
     );
 }

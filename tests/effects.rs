@@ -103,9 +103,7 @@ fn dynamic_member_write_app_falls_back_to_the_full_walk() {
                document.getElementById(\"btn\").addEventListener(\"tick\", onTick);\n\
                </script></html>\n"
         .to_string();
-    let summary = snapedge_core::EffectCache::new()
-        .summary_html(&app, &EffectOptions::new())
-        .unwrap();
+    let summary = snapedge_analyze::effect_summary_html(&app, &EffectOptions::new()).unwrap();
     assert!(
         summary.writable_globals().is_none(),
         "dynamic member write must degrade to unknown: {}",
@@ -139,8 +137,7 @@ fn nondeterministic_app_is_rejected_statically_with_zero_link_bytes() {
                function onGo() { out = rng.next(); }\n\
                document.getElementById(\"go\").addEventListener(\"go\", onGo);\n\
                </script></html>\n";
-    let mut cache = EffectCache::new();
-    let err = endpoint.gate_effects(app, &mut cache).unwrap_err();
+    let err = endpoint.gate_effects(app).unwrap_err();
     match &err {
         OffloadError::Analyze(AnalyzeError::Nondeterministic(sources)) => {
             assert!(
