@@ -335,4 +335,101 @@ mod tests {
         assert!(lex("'abc").is_err());
         assert!(lex("/* never closed").is_err());
     }
+
+    fn lines(src: &str) -> Vec<(Token, usize)> {
+        lex(src)
+            .unwrap()
+            .into_iter()
+            .map(|s| (s.token, s.line))
+            .collect()
+    }
+
+    #[test]
+    fn unicode_whitespace_is_skipped_without_counting_lines() {
+        assert_eq!(
+            lines("a\u{00A0}b\u{2028}c\u{3000}\nd"),
+            vec![
+                (Token::Ident("a".into()), 1),
+                (Token::Ident("b".into()), 1),
+                (Token::Ident("c".into()), 1),
+                (Token::Ident("d".into()), 2),
+                (Token::Eof, 2),
+            ]
+        );
+    }
+
+    #[test]
+    fn non_ascii_inside_strings_is_kept_byte_for_byte() {
+        assert_eq!(
+            tokens("'héllo ✓' \"日本\\n\u{2028}\" 'a\u{1F600}b'"),
+            vec![
+                Token::Str("héllo ✓".into()),
+                Token::Str("日本\n\u{2028}".into()),
+                Token::Str("a\u{1F600}b".into()),
+                Token::Eof
+            ]
+        );
+    }
+
+    #[test]
+    fn non_ascii_outside_strings_is_an_unexpected_character() {
+        let err = lex("x = 1;\ny é").unwrap_err();
+        assert!(
+            matches!(&err, WebError::Lex { line: 2, message } if message == "unexpected character 'é'"),
+            "{err:?}"
+        );
+        let err = lex("\u{1F600}").unwrap_err();
+        assert!(
+            matches!(&err, WebError::Lex { line: 1, message } if message.contains("unexpected character")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn non_ascii_escape_is_unknown() {
+        let err = lex("\n'a\\é'").unwrap_err();
+        assert!(
+            matches!(&err, WebError::Lex { line: 2, message } if message == "unknown escape \\é"),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn incomplete_exponents_and_fractions_split_as_before() {
+        assert_eq!(
+            tokens("1e 2E+ 1.x 1.toString 3.e5"),
+            vec![
+                Token::Number(1.0),
+                Token::Ident("e".into()),
+                Token::Number(2.0),
+                Token::Ident("E".into()),
+                Token::Punct("+"),
+                Token::Number(1.0),
+                Token::Punct("."),
+                Token::Ident("x".into()),
+                Token::Number(1.0),
+                Token::Punct("."),
+                Token::Ident("toString".into()),
+                Token::Number(3.0),
+                Token::Punct("."),
+                Token::Ident("e5".into()),
+                Token::Eof
+            ]
+        );
+    }
+
+    #[test]
+    fn crlf_counts_one_line_and_lone_cr_none() {
+        assert_eq!(
+            lines("a\r\nb\r\n\r\nc\rd /* x\r\n */ e"),
+            vec![
+                (Token::Ident("a".into()), 1),
+                (Token::Ident("b".into()), 2),
+                (Token::Ident("c".into()), 4),
+                (Token::Ident("d".into()), 4),
+                (Token::Ident("e".into()), 5),
+                (Token::Eof, 5),
+            ]
+        );
+    }
 }
