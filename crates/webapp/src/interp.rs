@@ -181,6 +181,28 @@ impl Browser {
         Ok(())
     }
 
+    /// `Float32Array` data for an array literal of number literals — the
+    /// shape every captured feature map restores from — or `None` for any
+    /// other literal. Charges the step for the array and one per element,
+    /// as evaluating the literal would, but allocates no temporary array
+    /// cell (the generic path leaves one dead on the heap per literal).
+    fn number_list_f32(&mut self, elems: &[Expr]) -> Result<Option<Vec<f32>>, WebError> {
+        let data: Option<Vec<f32>> = elems
+            .iter()
+            .map(|e| match e {
+                Expr::Number(n) => Some(*n as f32),
+                _ => None,
+            })
+            .collect();
+        let Some(data) = data else {
+            return Ok(None);
+        };
+        for _ in 0..=data.len() {
+            self.bump_steps()?;
+        }
+        Ok(Some(data))
+    }
+
     fn exec_stmts(&mut self, stmts: &[Stmt], frame: &mut Option<Frame>) -> Result<Flow, WebError> {
         for stmt in stmts {
             if let Flow::Return(v) = self.exec_stmt(stmt, frame)? {
@@ -357,6 +379,11 @@ impl Browser {
                 Ok(obj)
             }
             Expr::NewFloat32Array(arg) => {
+                if let Expr::Array(elems) = arg.as_ref() {
+                    if let Some(data) = self.number_list_f32(elems)? {
+                        return Ok(self.core.heap.alloc_f32(data));
+                    }
+                }
                 let value = self.eval(arg, frame)?;
                 let data: Vec<f32> = match &value {
                     JsValue::Number(n) => {

@@ -30,116 +30,128 @@ pub struct Spanned {
 }
 
 const PUNCTS2: &[&str] = &["==", "!=", "<=", ">=", "&&", "||", "+=", "-="];
-const PUNCTS1: &[&str] = &[
-    "(", ")", "{", "}", "[", "]", ",", ";", ":", ".", "=", "<", ">", "+", "-", "*", "/", "%", "!",
-];
+/// One-byte punctuation: each token is a one-byte slice of this string.
+const PUNCTS1: &str = "(){}[],;:.=<>+-*/%!";
 
 /// Tokenizes MiniJS source.
+///
+/// The lexer walks UTF-8 bytes. Everything outside string literals is
+/// ASCII, so a `char` is decoded only at a non-ASCII byte, which is either
+/// whitespace (`U+00A0`, `U+2028`, … — skipped without counting a line),
+/// string text (kept verbatim), or an unexpected character.
 ///
 /// # Errors
 ///
 /// Returns [`WebError::Lex`] for unterminated strings/comments or
 /// unrecognized characters.
 pub fn lex(src: &str) -> Result<Vec<Spanned>, WebError> {
-    let bytes: Vec<char> = src.chars().collect();
+    let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
     let mut line = 1;
-    while i < bytes.len() {
-        let c = bytes[i];
-        if c == '\n' {
+    while let Some(&c) = bytes.get(i) {
+        if c == b'\n' {
             line += 1;
             i += 1;
             continue;
         }
-        if c.is_whitespace() {
+        if !c.is_ascii() {
+            let ch = char_at(src, i)?;
+            if ch.is_whitespace() {
+                i += ch.len_utf8();
+                continue;
+            }
+            return Err(WebError::Lex {
+                line,
+                message: format!("unexpected character {ch:?}"),
+            });
+        }
+        // `char::is_whitespace` rather than `u8::is_ascii_whitespace`,
+        // which leaves out the vertical tab.
+        if char::from(c).is_whitespace() {
             i += 1;
             continue;
         }
         // Comments.
-        if c == '/' && i + 1 < bytes.len() {
-            if bytes[i + 1] == '/' {
-                while i < bytes.len() && bytes[i] != '\n' {
-                    i += 1;
+        if c == b'/' {
+            match bytes.get(i + 1) {
+                Some(b'/') => {
+                    while bytes.get(i).is_some_and(|&b| b != b'\n') {
+                        i += 1;
+                    }
+                    continue;
                 }
-                continue;
-            }
-            if bytes[i + 1] == '*' {
-                let start_line = line;
-                i += 2;
-                loop {
-                    if i + 1 >= bytes.len() {
+                Some(b'*') => {
+                    let body = &bytes[i + 2..];
+                    let Some(end) = body.windows(2).position(|w| w == b"*/") else {
                         return Err(WebError::Lex {
-                            line: start_line,
+                            line,
                             message: "unterminated block comment".to_string(),
                         });
-                    }
-                    if bytes[i] == '\n' {
-                        line += 1;
-                    }
-                    if bytes[i] == '*' && bytes[i + 1] == '/' {
-                        i += 2;
-                        break;
-                    }
-                    i += 1;
+                    };
+                    line += body[..end].iter().filter(|&&b| b == b'\n').count();
+                    i += 2 + end + 2;
+                    continue;
                 }
-                continue;
+                _ => {}
             }
         }
-        // Strings.
-        if c == '"' || c == '\'' {
-            let quote = c;
+        // Strings. Quotes, backslashes and newlines are ASCII and never
+        // occur inside a multi-byte character, so the text between them
+        // is copied over in verbatim runs.
+        if c == b'"' || c == b'\'' {
             let start_line = line;
             i += 1;
             // Per-literal buffer; ownership moves into the emitted token.
             // lint: allow(collect-in-loop)
             let mut s = String::new();
+            let mut run = i;
             loop {
-                if i >= bytes.len() {
+                let Some(&ch) = bytes.get(i) else {
                     return Err(WebError::Lex {
                         line: start_line,
                         message: "unterminated string".to_string(),
                     });
-                }
-                let ch = bytes[i];
-                if ch == quote {
+                };
+                if ch == c {
+                    s.push_str(&src[run..i]);
                     i += 1;
                     break;
                 }
-                if ch == '\n' {
+                if ch == b'\n' {
                     return Err(WebError::Lex {
                         line: start_line,
                         message: "newline in string literal".to_string(),
                     });
                 }
-                if ch == '\\' {
+                if ch == b'\\' {
+                    s.push_str(&src[run..i]);
                     i += 1;
-                    if i >= bytes.len() {
+                    let Some(&esc) = bytes.get(i) else {
                         return Err(WebError::Lex {
                             line: start_line,
                             message: "unterminated escape".to_string(),
                         });
-                    }
-                    let esc = bytes[i];
+                    };
                     s.push(match esc {
-                        'n' => '\n',
-                        't' => '\t',
-                        'r' => '\r',
-                        '0' => '\0',
-                        '\\' => '\\',
-                        '"' => '"',
-                        '\'' => '\'',
-                        other => {
+                        b'n' => '\n',
+                        b't' => '\t',
+                        b'r' => '\r',
+                        b'0' => '\0',
+                        b'\\' => '\\',
+                        b'"' => '"',
+                        b'\'' => '\'',
+                        _ => {
                             return Err(WebError::Lex {
                                 line,
-                                message: format!("unknown escape \\{other}"),
+                                message: format!("unknown escape \\{}", char_at(src, i)?),
                             })
                         }
                     });
                     i += 1;
+                    run = i;
                     continue;
                 }
-                s.push(ch);
                 i += 1;
             }
             out.push(Spanned {
@@ -152,32 +164,20 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, WebError> {
         // required — `-x` lexes as unary minus).
         if c.is_ascii_digit() {
             let start = i;
-            while i < bytes.len() && bytes[i].is_ascii_digit() {
-                i += 1;
+            i = skip_digits(bytes, i);
+            if bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
+                i = skip_digits(bytes, i + 1);
             }
-            if i < bytes.len()
-                && bytes[i] == '.'
-                && i + 1 < bytes.len()
-                && bytes[i + 1].is_ascii_digit()
-            {
-                i += 1;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-            }
-            if i < bytes.len() && (bytes[i] == 'e' || bytes[i] == 'E') {
+            if matches!(bytes.get(i), Some(b'e' | b'E')) {
                 let mut j = i + 1;
-                if j < bytes.len() && (bytes[j] == '+' || bytes[j] == '-') {
+                if matches!(bytes.get(j), Some(b'+' | b'-')) {
                     j += 1;
                 }
-                if j < bytes.len() && bytes[j].is_ascii_digit() {
-                    i = j;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
+                if bytes.get(j).is_some_and(u8::is_ascii_digit) {
+                    i = skip_digits(bytes, j);
                 }
             }
-            let text: String = bytes[start..i].iter().collect();
+            let text = &src[start..i];
             let value = text.parse::<f64>().map_err(|e| WebError::Lex {
                 line,
                 message: format!("bad number {text:?}: {e}"),
@@ -189,24 +189,23 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, WebError> {
             continue;
         }
         // Identifiers / keywords.
-        if c.is_ascii_alphabetic() || c == '_' || c == '$' {
+        if c.is_ascii_alphabetic() || c == b'_' || c == b'$' {
             let start = i;
-            while i < bytes.len()
-                && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_' || bytes[i] == '$')
+            while bytes
+                .get(i)
+                .is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_' || b == b'$')
             {
                 i += 1;
             }
-            let text: String = bytes[start..i].iter().collect();
             out.push(Spanned {
-                token: Token::Ident(Ident::new(&text)),
+                token: Token::Ident(Ident::new(&src[start..i])),
                 line,
             });
             continue;
         }
         // Two-char punctuation first.
-        if i + 1 < bytes.len() {
-            let two: String = [bytes[i], bytes[i + 1]].iter().collect();
-            if let Some(p) = PUNCTS2.iter().find(|&&p| p == two) {
+        if let Some(&next) = bytes.get(i + 1) {
+            if let Some(p) = PUNCTS2.iter().find(|p| p.as_bytes() == [c, next]) {
                 out.push(Spanned {
                     token: Token::Punct(p),
                     line,
@@ -215,10 +214,9 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, WebError> {
                 continue;
             }
         }
-        let one = c.to_string();
-        if let Some(p) = PUNCTS1.iter().find(|&&p| p == one) {
+        if let Some(k) = PUNCTS1.find(char::from(c)) {
             out.push(Spanned {
-                token: Token::Punct(p),
+                token: Token::Punct(&PUNCTS1[k..=k]),
                 line,
             });
             i += 1;
@@ -226,7 +224,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, WebError> {
         }
         return Err(WebError::Lex {
             line,
-            message: format!("unexpected character {c:?}"),
+            message: format!("unexpected character {:?}", char::from(c)),
         });
     }
     out.push(Spanned {
@@ -234,6 +232,22 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, WebError> {
         line,
     });
     Ok(out)
+}
+
+/// Index of the first non-digit byte at or after `i`.
+fn skip_digits(bytes: &[u8], mut i: usize) -> usize {
+    while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+        i += 1;
+    }
+    i
+}
+
+/// The `char` starting at byte `i`. The lexer steps over whole
+/// characters, so `i` is always a char boundary inside `src`.
+fn char_at(src: &str, i: usize) -> Result<char, WebError> {
+    src.get(i..)
+        .and_then(|rest| rest.chars().next())
+        .ok_or_else(|| WebError::Internal(format!("lexer off a char boundary at byte {i}")))
 }
 
 #[cfg(test)]

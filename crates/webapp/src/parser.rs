@@ -476,6 +476,53 @@ impl Parser {
         Ok(expr)
     }
 
+    /// Fast path for the number lists that `Float32Array` literals carry:
+    /// with `[` at the cursor, takes `[e, e, …]` where every `e` is a
+    /// `Number` or `( - Number )`, and builds the `Expr::Array` that the
+    /// generic path would, folding `(-x)` to `Number(-x)` as
+    /// [`Parser::unary`] does — without a nine-level descent per element.
+    ///
+    /// Returns `None`, with the cursor unmoved, on any other token (a bare
+    /// `-`, `(0/0)`, an identifier, a trailing comma, `[]`), or when the
+    /// generic path would hit the nesting cap (it descends three levels
+    /// into `(-x)`); the caller then takes the generic path, so results
+    /// and errors are the generic path's.
+    fn number_list(&mut self) -> Option<Expr> {
+        if self.depth + 3 > MAX_PARSE_DEPTH {
+            return None;
+        }
+        let token = |i: usize| self.tokens.get(i).map(|s| &s.token);
+        let mut i = self.pos + 1;
+        let mut elems = Vec::new();
+        loop {
+            let n = match (token(i)?, token(i + 1), token(i + 2), token(i + 3)) {
+                (Token::Number(n), ..) => {
+                    i += 1;
+                    *n
+                }
+                (
+                    Token::Punct("("),
+                    Some(Token::Punct("-")),
+                    Some(Token::Number(n)),
+                    Some(Token::Punct(")")),
+                ) => {
+                    i += 4;
+                    -*n
+                }
+                _ => return None,
+            };
+            elems.push(Expr::Number(n));
+            match token(i)? {
+                Token::Punct(",") => i += 1,
+                Token::Punct("]") => break,
+                _ => return None,
+            }
+        }
+        self.pos = i;
+        self.advance();
+        Some(Expr::Array(elems))
+    }
+
     fn primary(&mut self) -> Result<Expr, WebError> {
         match self.peek().clone() {
             Token::Number(n) => {
@@ -528,6 +575,9 @@ impl Parser {
                 Ok(e)
             }
             Token::Punct("[") => {
+                if let Some(list) = self.number_list() {
+                    return Ok(list);
+                }
                 self.advance();
                 let mut elems = Vec::new();
                 if !self.eat_punct("]") {
