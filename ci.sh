@@ -51,6 +51,9 @@ cargo test --offline -q -p snapedge-integration --test interning
 echo "== balance suite (queue-aware selection, admission control, fair share, balance-off bit-compat)"
 cargo test --offline -q -p snapedge-integration --test balance
 
+echo "== restore fuzz (byte-mutated snapshots and deltas restore or fail with a typed error, never panic)"
+cargo test --offline -q -p snapedge-webapp --test restore_fuzz
+
 echo "== meter exhaustion CLI smoke (capped primary fails over, run still succeeds)"
 meter_smoke=$(cargo run --offline --release -p snapedge-cli --bin snapedge -- run \
     --model tiny_cnn --servers "edge-a,meter=ops=1;edge-b")

@@ -799,6 +799,22 @@ mod tests {
     }
 
     #[test]
+    fn number_lists_keep_the_nesting_cap() {
+        // `(-1)` inside a list sits three levels below the list itself:
+        // the deepest list that still parses is the same on every path.
+        let nested = |parens: usize| {
+            let src = format!("{}[(-1)]{}", "(".repeat(parens), ")".repeat(parens));
+            parse_expr(&src)
+        };
+        assert_eq!(nested(252).unwrap(), Expr::Array(vec![Expr::Number(-1.0)]));
+        let err = nested(253).unwrap_err();
+        assert!(
+            matches!(&err, WebError::Parse { message, .. } if message.contains("nesting")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn accepts_snapshot_machinery_names() {
         // The exact names the snapshot and delta generators emit must
         // still parse, or restore itself would be rejected.

@@ -307,3 +307,30 @@ fn identical_states_produce_an_empty_ish_delta() {
     let bytes = roundtrip_delta(&mut client, &mut server, &base);
     assert!(bytes < 200, "no-change delta should be tiny, got {bytes}");
 }
+
+#[test]
+fn applied_feature_literal_adds_exactly_one_heap_cell() {
+    // A feature map travels as `new Float32Array([...])`; restoring it
+    // must allocate the typed array only, not a temporary source array.
+    let (mut client, mut server, base) = agreed_pair("var feature = null; var counter = 0;");
+    client
+        .exec_script(
+            r#"
+            feature = new Float32Array(1000);
+            for (var i = 0; i < 1000; i += 1) { feature[i] = i * 0.5 - 7; }
+            counter = 1;
+            "#,
+        )
+        .unwrap();
+    let capture = client
+        .capture_delta(&base, &SnapshotOptions::default())
+        .unwrap();
+    let DeltaCapture::Delta(delta) = capture else {
+        panic!("expected a delta, got {capture:?}");
+    };
+    assert!(delta.script().contains("new Float32Array([(-7),(-6.5),"));
+    let before = server.core().heap.len();
+    server.apply_delta(&delta).unwrap();
+    assert_eq!(server.core().heap.len(), before + 1);
+    assert!(state_eq(&client, &server));
+}
